@@ -1,14 +1,15 @@
-"""Shared-scan differential oracle: sharing on vs. off, byte-identical.
+"""Shared-scan differential: sharing on vs. off, byte-identical.
 
 The shared-scan optimizer (``docs/plan.md``) must be a pure performance
 optimization — fanning one tenant's partitioned map output into another
-tenant's shuffle may never change an answer. This module pins that the
-same way the chaos and reuse tiers pin their guarantees: run the
-multi-tenant service scenario twice, once with sharing off (the
-baseline) and once with sharing on, and require every tenant's
-per-window output digest to match byte-for-byte, while the shared run
-actually shares (``plan.shared_scans`` > 0, ``plan.shared_map_bytes_saved``
-> 0 — an oracle that never exercises the optimizer proves nothing).
+tenant's shuffle may never change an answer. This module pins that with
+the same :func:`~repro.chaos.oracle.differential` primitive the chaos
+and reuse tiers use: run the multi-tenant service scenario twice, once
+with sharing off (the reference) and once with sharing on, and require
+every tenant's per-window output digest to match byte-for-byte, while
+the shared run actually shares (``plan.shared_scans`` > 0,
+``plan.shared_map_bytes_saved`` > 0 — an oracle that never exercises the
+optimizer proves nothing).
 
 A deterministic *fault plan* (node kills/recoveries at fixed virtual
 times, applied identically to both runs) extends the differential to
@@ -20,9 +21,10 @@ gets a fresh backend so pool state never leaks between them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from ..chaos.oracle import Differential, differential
 from .service import (
     ScenarioRun,
     ServiceScenario,
@@ -32,7 +34,6 @@ from .service import (
 
 __all__ = [
     "FaultAction",
-    "SharingDifferentialReport",
     "default_fault_plan",
     "run_sharing_differential",
 ]
@@ -55,79 +56,6 @@ def default_fault_plan(scenario: ServiceScenario) -> List[FaultAction]:
         FaultAction(time=round(h * 0.4 / s) * s, kind="node-kill", node_id=victim),
         FaultAction(time=round(h * 0.7 / s) * s, kind="node-recover", node_id=victim),
     ]
-
-
-@dataclass
-class SharingDifferentialReport:
-    """Outcome of one shared-vs-unshared differential run."""
-
-    scenario: ServiceScenario
-    baseline: ScenarioRun
-    shared: ScenarioRun
-    #: human-readable digest mismatches (empty = byte-identical).
-    mismatches: List[str] = field(default_factory=list)
-    faults_applied: int = 0
-
-    @property
-    def shared_scans(self) -> float:
-        return self.shared.counters.get("plan.shared_scans", 0.0)
-
-    @property
-    def shared_map_bytes_saved(self) -> float:
-        return self.shared.counters.get("plan.shared_map_bytes_saved", 0.0)
-
-    @property
-    def ok(self) -> bool:
-        return (
-            not self.mismatches
-            and self.shared_scans > 0
-            and self.shared_map_bytes_saved > 0
-        )
-
-    def summary(self) -> str:
-        lines = [
-            f"tenants={self.scenario.tenants} "
-            f"recurrences={self.scenario.recurrences} "
-            f"faults_applied={self.faults_applied}",
-            f"baseline fired {self.baseline.recurrences_fired}, "
-            f"shared fired {self.shared.recurrences_fired}",
-            f"plan.shared_scans            {self.shared_scans:10.0f}",
-            f"plan.shared_map_bytes_saved  {self.shared_map_bytes_saved:10.0f}",
-        ]
-        published = self.shared.counters.get("plan.map_outputs_published", 0.0)
-        retired = self.shared.counters.get("plan.map_outputs_retired", 0.0)
-        lines.append(f"plan.map_outputs_published   {published:10.0f}")
-        lines.append(f"plan.map_outputs_retired     {retired:10.0f}")
-        if self.mismatches:
-            lines.append("DIGEST MISMATCHES:")
-            lines.extend(f"  {m}" for m in self.mismatches)
-        elif self.shared_scans <= 0:
-            lines.append("FAILED: the shared run never shared a scan")
-        else:
-            lines.append(
-                "ok: all window digests byte-identical, sharing exercised"
-            )
-        return "\n".join(lines)
-
-
-def _compare(baseline: ScenarioRun, shared: ScenarioRun) -> List[str]:
-    mismatches: List[str] = []
-    tenants = sorted(set(baseline.digests) | set(shared.digests))
-    for tenant in tenants:
-        base = baseline.digests.get(tenant, [])
-        with_sharing = shared.digests.get(tenant, [])
-        if len(base) != len(with_sharing):
-            mismatches.append(
-                f"{tenant}: baseline fired {len(base)} windows, "
-                f"shared fired {len(with_sharing)}"
-            )
-        for (br, bd), (sr, sd) in zip(base, with_sharing):
-            if br != sr or bd != sd:
-                mismatches.append(
-                    f"{tenant}: window {br} digest {bd[:12]}… vs "
-                    f"window {sr} digest {sd[:12]}…"
-                )
-    return mismatches
 
 
 def _drive_one(
@@ -155,8 +83,6 @@ def _drive_one(
                     recovery.fail_node(action.node_id)
                 elif action.kind == "node-recover" and not node.alive:
                     recovery.recover_node(action.node_id)
-                else:
-                    continue
 
         run = drive_scenario(scenario, server, pace=pace)
         applied = cursor[0]
@@ -170,21 +96,21 @@ def run_sharing_differential(
     *,
     backend_factory: Optional[Callable[[], object]] = None,
     fault_plan: Sequence[FaultAction] = (),
-) -> SharingDifferentialReport:
+) -> Differential:
     """Drive the scenario with sharing off then on; compare digests.
 
     Both runs see the identical batch schedule, churn plan, and fault
-    plan — the only difference is the shared-scan registry. The report
-    is ``ok`` when every tenant's per-window digests match
-    byte-for-byte AND the shared run actually skipped map phases.
+    plan — the only difference is the shared-scan registry. Windows are
+    keyed ``(tenant, recurrence)``; the report is ``ok`` when every one
+    matches byte-for-byte AND the shared run actually skipped map phases.
     """
     scenario = scenario if scenario is not None else ServiceScenario()
-    runs = []
+    runs = {}
     applied = 0
-    for share in (False, True):
+    for label, share in (("unshared", False), ("shared", True)):
         backend = backend_factory() if backend_factory is not None else None
         try:
-            run, applied = _drive_one(
+            runs[label], applied = _drive_one(
                 scenario,
                 share_scans=share,
                 backend=backend,
@@ -193,12 +119,35 @@ def run_sharing_differential(
         finally:
             if backend is not None:
                 backend.close()
-        runs.append(run)
-    baseline, shared = runs
-    return SharingDifferentialReport(
-        scenario=scenario,
-        baseline=baseline,
-        shared=shared,
-        mismatches=_compare(baseline, shared),
-        faults_applied=applied,
+    counters = runs["shared"].counters
+    notes = [
+        f"tenants={scenario.tenants} recurrences={scenario.recurrences} "
+        f"faults_applied={applied}"
+    ]
+    for name in (
+        "plan.shared_scans",
+        "plan.shared_map_bytes_saved",
+        "plan.map_outputs_published",
+        "plan.map_outputs_retired",
+    ):
+        notes.append(f"{name:28} {counters.get(name, 0.0):10.0f}")
+    return differential(
+        runs,
+        {
+            label: {
+                (tenant, recurrence): digest
+                for tenant, rows in run.digests.items()
+                for recurrence, digest in rows
+            }
+            for label, run in runs.items()
+        },
+        require={
+            "the shared run shared a scan (plan.shared_scans > 0)": (
+                counters.get("plan.shared_scans", 0.0) > 0
+            ),
+            "sharing saved map bytes (plan.shared_map_bytes_saved > 0)": (
+                counters.get("plan.shared_map_bytes_saved", 0.0) > 0
+            ),
+        },
+        notes=notes,
     )

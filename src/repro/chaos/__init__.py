@@ -1,4 +1,4 @@
-"""Chaos harness: declarative fault schedules and a recovery oracle.
+"""Chaos harness: declarative fault schedules and a differential oracle.
 
 Redoop's fault-tolerance claim (paper Sec. 5) is that metadata rollback
 plus re-execution makes every recoverable failure *output-neutral*: the
@@ -15,15 +15,14 @@ turns that claim into an executable check:
   scheduler task lists vs. node-local files, run after every injection;
 * :func:`~repro.chaos.driver.run_chaos_series` — executes a workload
   under a schedule, applying events between ingest steps;
-* :func:`~repro.chaos.oracle.run_differential` — the differential
-  oracle: fault-free vs. chaos run, digests compared per window;
-* :func:`~repro.chaos.oracle.run_reuse_differential` — the same
-  contract for the cross-query reuse store: store-off vs. cold vs.
-  warm runs must agree on every non-degraded window digest;
-* :func:`~repro.chaos.oracle.run_worker_fault_differential` — the
-  *real-process* extension: a fault-free serial run vs. a supervised
-  process-backend run whose actual OS workers are crashed
-  (``os._exit``) and hung by ``worker-kill`` / ``worker-hang`` events.
+* :func:`~repro.chaos.oracle.differential` — the one comparison
+  primitive: per-window digest tables of a reference run and variant
+  runs must agree outside excused (degraded) windows, with no invariant
+  violation and every stated requirement met;
+* :func:`~repro.chaos.oracle.run_differential` — builds the runs: a
+  fault-free serial reference vs. a chaos run on any backend (whose
+  real OS workers ``worker-kill`` / ``worker-hang`` events crash and
+  hang), or vs. cold and warm runs against a cross-query reuse store.
 
 See ``docs/fault-tolerance.md`` for the failure domains and semantics.
 """
@@ -31,26 +30,16 @@ See ``docs/fault-tolerance.md`` for the failure domains and semantics.
 from .schedule import ChaosEvent, ChaosSchedule, EVENT_KINDS
 from .invariants import check_invariants
 from .driver import ChaosReport, run_chaos_series
-from .oracle import (
-    DifferentialReport,
-    ReuseDifferentialReport,
-    WorkerFaultDifferentialReport,
-    run_differential,
-    run_reuse_differential,
-    run_worker_fault_differential,
-)
+from .oracle import Differential, differential, run_differential
 
 __all__ = [
     "ChaosEvent",
     "ChaosReport",
     "ChaosSchedule",
-    "DifferentialReport",
-    "ReuseDifferentialReport",
-    "WorkerFaultDifferentialReport",
+    "Differential",
     "EVENT_KINDS",
     "check_invariants",
+    "differential",
     "run_chaos_series",
     "run_differential",
-    "run_reuse_differential",
-    "run_worker_fault_differential",
 ]

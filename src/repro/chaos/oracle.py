@@ -1,367 +1,206 @@
-"""The differential recovery oracle: fault-free run vs. chaos run.
+"""The differential oracle: a reference run vs. variant runs, per window.
 
 Redoop's recovery contract (paper Sec. 5) is *output neutrality*: for
 every recoverable fault, metadata rollback plus re-execution yields the
 same per-window answers the fault-free run produced — faults may cost
-time, never correctness. The oracle makes the contract executable:
+time, never correctness. The same contract covers every optimization
+that may only change *when* an answer is computed: real worker faults
+under the supervised process backend, the cross-query reuse store, and
+shared scans. One primitive checks all of them:
 
-1. build one workload;
-2. run it fault-free (the benchmark harness's ``run_redoop_series``);
-3. run it again under a :class:`~repro.chaos.schedule.ChaosSchedule`
-   on an independent but identically-seeded cluster;
-4. compare the per-window output digests.
+* :func:`differential` compares ``window -> digest`` tables of several
+  runs against the first (the reference). A window whose digest differs,
+  or that one run fired and another did not, is a mismatch. Degraded
+  windows — attempt exhaustion, the non-recoverable fault, whose output
+  is empty by design — are excused via ``skip``; every later window must
+  still converge. ``require`` names the evidence that the variant really
+  exercised what it claims to (a worker was lost, the store served), so
+  a run that never injected anything cannot pass as proof.
+* :func:`run_differential` builds the runs for one workload: a
+  fault-free serial reference, then one chaos run on ``backend`` — or,
+  with a ``reuse_store``, a cold and a warm run against that store.
 
-Digests are placement- and timing-independent (sorted reprs of the
-final output pairs), so retries, node kills, cache loss/corruption and
-stragglers must not move them. The one sanctioned divergence is a
-*degraded* window — attempt exhaustion, the non-recoverable fault —
-whose output is empty by design; the oracle checks instead that every
-window *after* it converges back to the fault-free answers.
+Digests are placement- and timing-independent (sorted reprs of the final
+output pairs), so retries, node kills, cache loss/corruption, stragglers
+and served artifacts must not move them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Tuple
 
 from ..bench.harness import ExperimentConfig, SeriesResult, build_workload, run_redoop_series
-from .driver import ChaosReport, run_chaos_series
+from .driver import run_chaos_series
 from .schedule import ChaosSchedule
 
-__all__ = [
-    "DifferentialReport",
-    "ReuseDifferentialReport",
-    "WorkerFaultDifferentialReport",
-    "run_differential",
-    "run_reuse_differential",
-    "run_worker_fault_differential",
-]
+__all__ = ["Differential", "differential", "run_differential"]
+
+#: Stands in for the digest of a window a run never fired.
+_ABSENT = object()
+
+#: ``exec.*`` recovery counters a worker-fault run reports.
+_RECOVERY_COUNTERS = ("exec.retries", "exec.worker_lost", "exec.quarantined", "exec.pool_rebuilds")
 
 
 @dataclass(slots=True)
-class DifferentialReport:
-    """Outcome of one fault-free-vs-chaos comparison."""
+class Differential:
+    """Outcome of one differential comparison."""
 
-    schedule: ChaosSchedule
-    baseline: SeriesResult
-    chaos: ChaosReport
-    #: Non-degraded windows whose digests differ from the baseline.
-    mismatched_windows: List[int] = field(default_factory=list)
+    #: label -> the run object, for callers to report on.
+    runs: Dict[str, Any]
+    #: label -> ``window -> digest``; the first label is the reference.
+    digests: Dict[str, Dict[Hashable, Any]]
+    #: ``(window, label)``: ``label``'s digest for ``window`` differs from
+    #: the reference's, or only one of the two fired the window.
+    mismatches: List[Tuple[Hashable, str]] = field(default_factory=list)
+    #: Excused (degraded) windows, sorted.
+    skipped: List[Hashable] = field(default_factory=list)
+    violations: List[str] = field(default_factory=list)
+    #: Requirement sentences that did not hold.
+    unmet: List[str] = field(default_factory=list)
+    notes: List[str] = field(default_factory=list)
 
     @property
-    def degraded_windows(self) -> List[int]:
-        return self.chaos.degraded_windows
-
-    @property
-    def violations(self) -> List[str]:
-        return self.chaos.violations
+    def reference(self) -> str:
+        return next(iter(self.digests))
 
     @property
     def ok(self) -> bool:
-        """Recovery held: digests match everywhere they must, and the
-        structural invariants never broke."""
-        return not self.mismatched_windows and not self.chaos.violations
+        """Every digest matched where it must, no invariant broke, and
+        every requirement held."""
+        return not (self.mismatches or self.violations or self.unmet)
 
     def summary(self) -> str:
         """One paragraph for CLI output / CI logs."""
-        lines = [
-            f"seed={self.schedule.seed} events={len(self.schedule)} "
-            f"applied={len(self.chaos.events_applied)} "
-            f"windows={len(self.baseline.windows)}",
-        ]
-        for desc in self.chaos.events_applied:
-            lines.append(f"  injected {desc}")
-        if self.degraded_windows:
+        lines = list(self.notes)
+        if self.skipped:
             lines.append(
                 "  degraded windows (empty output, by design): "
-                + ", ".join(map(str, self.degraded_windows))
+                + ", ".join(map(str, self.skipped))
             )
-        if self.mismatched_windows:
-            lines.append(
-                "  DIGEST MISMATCH in windows: "
-                + ", ".join(map(str, self.mismatched_windows))
+        for window, label in self.mismatches:
+            fired = [run for run in (self.reference, label) if window in self.digests[run]]
+            detail = (
+                f"{label} differs from {self.reference}"
+                if len(fired) == 2
+                else f"fired by {fired[0]} only"
             )
-        for violation in self.chaos.violations:
-            lines.append(f"  INVARIANT VIOLATION {violation}")
+            lines.append(f"  DIGEST MISMATCH window {window}: {detail}")
+        lines.extend(f"  INVARIANT VIOLATION {v}" for v in self.violations)
+        lines.extend(f"  UNMET: {sentence}" for sentence in self.unmet)
         lines.append("  verdict: " + ("OK" if self.ok else "FAILED"))
         return "\n".join(lines)
+
+
+def differential(
+    runs: Mapping[str, Any],
+    digests: Mapping[str, Mapping[Hashable, Any]],
+    *,
+    skip: Iterable[Hashable] = (),
+    violations: Iterable[str] = (),
+    require: Optional[Mapping[str, bool]] = None,
+    notes: Iterable[str] = (),
+) -> Differential:
+    """Compare every run's ``window -> digest`` table with the first's.
+
+    ``digests`` maps each run label to its table; the first label is the
+    reference. A window present in one table and absent from the other
+    is a mismatch, unless it is in ``skip``. ``require`` maps a sentence
+    (e.g. "the warm run hit the store") to whether it held; each one
+    that did not fails the verdict.
+    """
+    tables = {label: dict(table) for label, table in digests.items()}
+    reference = next(iter(tables.values()))
+    excused = set(skip)
+    mismatches = [
+        (window, label)
+        for label, table in list(tables.items())[1:]
+        for window in sorted(set(reference) | set(table))
+        if window not in excused and reference.get(window, _ABSENT) != table.get(window, _ABSENT)
+    ]
+    return Differential(
+        runs=dict(runs),
+        digests=tables,
+        mismatches=mismatches,
+        skipped=sorted(excused),
+        violations=list(violations),
+        unmet=[sentence for sentence, held in (require or {}).items() if not held],
+        notes=list(notes),
+    )
 
 
 def run_differential(
     config: ExperimentConfig,
-    schedule: ChaosSchedule,
+    schedule: Optional[ChaosSchedule] = None,
     *,
-    check: bool = True,
     backend=None,
-) -> DifferentialReport:
-    """Run the differential oracle for one ``(config, schedule)`` pair.
-
-    Both runs share one generated workload but execute on independent,
-    identically-seeded clusters, so the only difference between them is
-    the injected faults — any digest divergence outside degraded
-    windows is a recovery bug, not noise. ``backend`` (an
-    :class:`repro.exec.ExecBackend`) is applied to *both* runs, so the
-    oracle holds regardless of how task user-code executes.
-    """
-    workload = build_workload(config)
-    baseline = run_redoop_series(
-        config, label="fault-free", workload=workload, backend=backend
-    )
-    chaos = run_chaos_series(
-        config,
-        schedule,
-        label="chaos",
-        workload=workload,
-        check=check,
-        backend=backend,
-    )
-    degraded = set(chaos.degraded_windows)
-    mismatched = [
-        i + 1
-        for i, (want, got) in enumerate(
-            zip(baseline.output_digests, chaos.series.output_digests)
-        )
-        if (i + 1) not in degraded and want != got
-    ]
-    return DifferentialReport(
-        schedule=schedule,
-        baseline=baseline,
-        chaos=chaos,
-        mismatched_windows=mismatched,
-    )
-
-
-@dataclass(slots=True)
-class WorkerFaultDifferentialReport(DifferentialReport):
-    """Fault-free *serial* run vs. process backend under *real* worker
-    faults (crashed / hung pool workers).
-
-    Strengthens :class:`DifferentialReport` two ways: the baseline is
-    the serial backend (so parity spans backends *and* faults at
-    once), and ``ok`` additionally demands the injection actually
-    bit — a worker-fault schedule that lost no worker proves nothing.
-    """
-
-    #: ``exec.*`` counters of the chaos run (retries, worker_lost, …).
-    exec_counters: dict = field(default_factory=dict)
-
-    @property
-    def worker_events_applied(self) -> bool:
-        return any(
-            "worker-kill" in desc or "worker-hang" in desc
-            for desc in self.chaos.events_applied
-        )
-
-    @property
-    def faults_exercised(self) -> bool:
-        """The supervisor really saw workers die (not a no-op run)."""
-        return self.exec_counters.get("exec.worker_lost", 0) > 0
-
-    @property
-    def ok(self) -> bool:
-        if not DifferentialReport.ok.fget(self):  # type: ignore[union-attr]
-            return False
-        return not self.worker_events_applied or self.faults_exercised
-
-    def summary(self) -> str:
-        lines = [DifferentialReport.summary(self)]
-        shown = {
-            k: int(v)
-            for k, v in sorted(self.exec_counters.items())
-            if k in (
-                "exec.retries",
-                "exec.worker_lost",
-                "exec.quarantined",
-                "exec.pool_rebuilds",
-            )
-        }
-        if shown:
-            lines.append(
-                "  recovery: "
-                + " ".join(f"{k.split('.', 1)[1]}={v}" for k, v in shown.items())
-            )
-        if self.worker_events_applied and not self.faults_exercised:
-            lines.append("  WORKER FAULTS ARMED BUT NO WORKER WAS LOST")
-        return "\n".join(lines)
-
-
-def run_worker_fault_differential(
-    config: ExperimentConfig,
-    schedule: ChaosSchedule,
-    *,
+    reuse_store=None,
     check: bool = True,
-    backend=None,
-    workers: int = 2,
-    batch_deadline: float = 5.0,
-    max_task_retries: int = 2,
-    max_pool_rebuilds: int = 3,
-) -> WorkerFaultDifferentialReport:
-    """The real-process extension of :func:`run_differential`.
+) -> Differential:
+    """Run one workload fault-free and under ``schedule``; compare digests.
 
-    The baseline runs fault-free on the **serial** backend; the chaos
-    run executes on a supervised **process** backend while the
-    schedule's ``worker-kill`` / ``worker-hang`` events crash and hang
-    its actual OS workers (any simulated events ride along as usual).
-    Byte-identical non-degraded digests then prove the whole ladder —
-    deadline reaping, pool rebuild, retry, quarantine — is output-
-    neutral, not just the metadata-level recovery.
+    The reference is a fault-free ``run_redoop_series`` on the serial
+    backend. The variant is one ``run_chaos_series`` on ``backend``; with
+    a ``reuse_store`` it is two — ``cold`` (publishes into the store)
+    then ``warm`` (a fresh cluster served from it). All runs share one
+    generated workload but execute on independent, identically-seeded
+    clusters, so a divergence outside degraded windows is a bug.
 
-    Pass ``backend`` to reuse a supervised process backend across
-    seeds; otherwise one is built from the keyword knobs and closed
-    before returning.
+    Requirements: applied ``worker-kill`` / ``worker-hang`` events must
+    have lost a real worker, and the warm run must have hit the store.
     """
-    from ..exec import ProcessPoolBackend
-
+    schedule = schedule if schedule is not None else ChaosSchedule(seed=0, events=())
     workload = build_workload(config)
-    baseline = run_redoop_series(
-        config, label="fault-free-serial", workload=workload
-    )
-    owned = backend is None
-    chaos_backend = backend if backend is not None else ProcessPoolBackend(
-        workers=workers,
-        batch_deadline=batch_deadline,
-        max_task_retries=max_task_retries,
-        max_pool_rebuilds=max_pool_rebuilds,
-    )
-    try:
+    runs: Dict[str, SeriesResult] = {
+        "fault-free": run_redoop_series(config, label="fault-free", workload=workload)
+    }
+    notes = []
+    skip = set()
+    violations = []
+    require: Dict[str, bool] = {}
+    for label in ("cold", "warm") if reuse_store is not None else ("chaos",):
         chaos = run_chaos_series(
             config,
             schedule,
-            label="worker-chaos",
+            label=label,
             workload=workload,
             check=check,
-            backend=chaos_backend,
+            backend=backend,
+            reuse_store=reuse_store,
         )
-    finally:
-        if owned:
-            chaos_backend.close()
-    degraded = set(chaos.degraded_windows)
-    mismatched = [
-        i + 1
-        for i, (want, got) in enumerate(
-            zip(baseline.output_digests, chaos.series.output_digests)
+        runs[label] = chaos.series
+        skip.update(chaos.degraded_windows)
+        violations.extend(f"{label}: {v}" for v in chaos.violations)
+        counters = chaos.series.runtime_counters
+        notes.append(
+            f"{label}: seed={schedule.seed} events={len(schedule)} "
+            f"applied={len(chaos.events_applied)} windows={config.num_windows}"
         )
-        if (i + 1) not in degraded and want != got
-    ]
-    return WorkerFaultDifferentialReport(
-        schedule=schedule,
-        baseline=baseline,
-        chaos=chaos,
-        mismatched_windows=mismatched,
-        exec_counters={
-            name: value
-            for name, value in chaos.series.runtime_counters.items()
-            if name.startswith("exec.")
-        },
-    )
-
-
-@dataclass(slots=True)
-class ReuseDifferentialReport:
-    """Outcome of the reuse-on/off differential comparison.
-
-    Three runs over one workload: ``off`` (no store), ``cold`` (fresh
-    store, publishes everything), and ``warm`` (fresh cluster, the
-    cold run's store — artifacts must actually serve). When a chaos
-    schedule is supplied, all three runs execute under it.
-    """
-
-    off: SeriesResult
-    cold: ChaosReport
-    warm: ChaosReport
-    #: Windows (degraded in no run) whose digests diverge across runs.
-    mismatched_windows: List[int] = field(default_factory=list)
-    #: Invariant violations from the cold + warm chaos runs.
-    violations: List[str] = field(default_factory=list)
-    #: ``reuse.*`` counters of the warm run.
-    warm_reuse_counters: dict = field(default_factory=dict)
-
-    @property
-    def warm_hits(self) -> float:
-        return self.warm_reuse_counters.get("reuse.hits", 0.0)
-
-    @property
-    def ok(self) -> bool:
-        """The store never changed an answer — and actually served."""
-        return (
-            not self.mismatched_windows
-            and not self.violations
-            and self.warm_hits > 0
-        )
-
-    def summary(self) -> str:
-        lines = [
-            f"windows={len(self.off.windows)} "
-            f"warm_hits={self.warm_hits:.0f} "
-            f"bytes_saved={self.warm_reuse_counters.get('reuse.bytes_saved', 0.0):.0f}"
+        notes.extend(f"  injected {desc}" for desc in chaos.events_applied)
+        recovery = [
+            f"{name.split('.', 1)[1]}={counters[name]:.0f}"
+            for name in _RECOVERY_COUNTERS
+            if name in counters
         ]
-        if self.mismatched_windows:
-            lines.append(
-                "  DIGEST MISMATCH in windows: "
-                + ", ".join(map(str, self.mismatched_windows))
+        if recovery:
+            notes.append("  recovery: " + " ".join(recovery))
+        if any("worker-kill" in d or "worker-hang" in d for d in chaos.events_applied):
+            require[f"{label}: applied worker faults lost a worker (exec.worker_lost > 0)"] = (
+                counters.get("exec.worker_lost", 0) > 0
             )
-        for violation in self.violations:
-            lines.append(f"  INVARIANT VIOLATION {violation}")
-        if self.warm_hits == 0:
-            lines.append("  WARM RUN NEVER HIT THE STORE")
-        lines.append("  verdict: " + ("OK" if self.ok else "FAILED"))
-        return "\n".join(lines)
-
-
-def run_reuse_differential(
-    config: ExperimentConfig,
-    schedule: Optional[ChaosSchedule] = None,
-    *,
-    check: bool = True,
-    backend=None,
-) -> ReuseDifferentialReport:
-    """Prove the reuse tier is answer-neutral for one workload.
-
-    The contract mirrors :func:`run_differential`: enabling the store
-    (cold), then serving a second identical tenant from it on a fresh
-    cluster (warm), must produce byte-identical window digests to the
-    store-free run — under a chaos schedule too, where degraded
-    windows (in *any* run; fault timing shifts when work is skipped)
-    are the only sanctioned divergence.
-    """
-    from ..reuse import ReuseStore
-
-    workload = build_workload(config)
-    sched = schedule if schedule is not None else ChaosSchedule(seed=0, events=())
-    off = run_redoop_series(config, label="reuse-off", workload=workload, backend=backend)
-    store = ReuseStore()
-    cold = run_chaos_series(
-        config, sched, label="reuse-cold", workload=workload,
-        check=check, backend=backend, reuse_store=store,
-    )
-    warm = run_chaos_series(
-        config, sched, label="reuse-warm", workload=workload,
-        check=check, backend=backend, reuse_store=store,
-    )
-    degraded = (
-        set(cold.degraded_windows)
-        | set(warm.degraded_windows)
-    )
-    mismatched = []
-    for i, want in enumerate(off.output_digests):
-        window = i + 1
-        if window in degraded:
-            continue
-        if (
-            cold.series.output_digests[i] != want
-            or warm.series.output_digests[i] != want
-        ):
-            mismatched.append(window)
-    warm_counters = {
-        name: value
-        for name, value in warm.series.runtime_counters.items()
-        if name.startswith("reuse.")
-    }
-    return ReuseDifferentialReport(
-        off=off,
-        cold=cold,
-        warm=warm,
-        mismatched_windows=mismatched,
-        violations=list(cold.violations) + list(warm.violations),
-        warm_reuse_counters=warm_counters,
+    if reuse_store is not None:
+        warm = runs["warm"].runtime_counters
+        notes.append(
+            f"warm: reuse hits={warm.get('reuse.hits', 0):.0f} "
+            f"bytes_saved={warm.get('reuse.bytes_saved', 0):.0f}"
+        )
+        require["the warm run hit the store (reuse.hits > 0)"] = warm.get("reuse.hits", 0) > 0
+    return differential(
+        runs,
+        {label: dict(enumerate(series.output_digests, 1)) for label, series in runs.items()},
+        skip=skip,
+        violations=violations,
+        require=require,
+        notes=notes,
     )

@@ -53,7 +53,7 @@ from ..hadoop.node import MAP_SLOT, REDUCE_SLOT, TaskNode
 from ..exec import ExecBackend, SerialBackend, WorkerFaultError
 from ..hadoop.shuffle import group_sorted, sort_pairs
 from ..hadoop.task import execute_finalize, execute_map, execute_pane_reduce
-from ..hadoop.timeline import SchedulingDecision, SchedulingTrace
+from ..hadoop.timeline import SchedulingDecision, record_decision
 from ..hadoop.types import KeyValue, Record
 from repro.trace import (
     CAT_FAULT,
@@ -302,12 +302,11 @@ class RedoopRuntime:
         #: recurrence-scoped phase spans (``None`` outside a recurrence;
         #: proactive work emitted then parents to the run span).
         self._phase_spans: Optional[Dict[str, Span]] = None
-        #: Decision log of every task-list pop, Eq. 4 selection, and
-        #: execution — the audit trail proving the scheduler is real.
-        #: A facade over ``self.tracer``: one store, two views.
-        self.sched_trace = SchedulingTrace(spine=self.tracer)
+        #: Every task-list pop, Eq. 4 selection, and execution lands on
+        #: ``self.tracer`` as a ``"sched"`` event — the audit trail proving
+        #: the scheduler is real (read back with ``timeline.decisions``).
         self.scheduler = CacheAwareTaskScheduler(
-            cluster, trace=self.sched_trace, counters=self.counters
+            cluster, tracer=self.tracer, counters=self.counters
         )
         self.analyzer = SemanticAnalyzer(cluster.config)
         self.enable_caching = enable_caching
@@ -1274,7 +1273,8 @@ class RedoopRuntime:
     def _record_execute(
         self, kind: str, request: Any, node: TaskNode, start: float
     ) -> None:
-        self.sched_trace.record(
+        record_decision(
+            self.tracer,
             SchedulingDecision(
                 event="execute",
                 kind=kind,

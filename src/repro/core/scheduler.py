@@ -19,9 +19,10 @@ every map and reduce task, then drains the lists through
 :meth:`~CacheAwareTaskScheduler.next_map` /
 :meth:`~CacheAwareTaskScheduler.next_reduce` and executes exactly the
 request each pop returns. Every pop, Eq. 4 selection, and recovery drop
-is recorded in an attached
-:class:`~repro.hadoop.timeline.SchedulingTrace` so tests and benchmarks
-can assert *why* a node was chosen.
+is recorded on an attached span spine as a
+:class:`~repro.hadoop.timeline.SchedulingDecision` (read back with
+:func:`~repro.hadoop.timeline.decisions`), so tests can assert *why* a
+node was chosen.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 from ..hadoop.cluster import Cluster
 from ..hadoop.counters import Counters
 from ..hadoop.node import MAP_SLOT, REDUCE_SLOT, TaskNode
-from ..hadoop.timeline import SchedulingDecision, SchedulingTrace
+from ..hadoop.timeline import SchedulingDecision, record_decision
+from ..trace import Tracer
 
 __all__ = ["MapTaskRequest", "ReduceTaskRequest", "CacheAwareTaskScheduler"]
 
@@ -84,9 +86,9 @@ class CacheAwareTaskScheduler:
     ----------
     cluster:
         The cluster whose live nodes Eq. 4 chooses among.
-    trace:
-        Optional :class:`~repro.hadoop.timeline.SchedulingTrace`; every
-        pop/select/drop decision is recorded there.
+    tracer:
+        Optional span spine; every pop/select/drop decision is recorded
+        there as a ``"sched"`` event (plus blacklist instants).
     counters:
         Optional :class:`~repro.hadoop.counters.Counters` bag receiving
         the ``sched.*`` counters (see ``docs/counters.md``).
@@ -96,11 +98,11 @@ class CacheAwareTaskScheduler:
         self,
         cluster: Cluster,
         *,
-        trace: Optional[SchedulingTrace] = None,
+        tracer: Optional[Tracer] = None,
         counters: Optional[Counters] = None,
     ) -> None:
         self.cluster = cluster
-        self.trace = trace
+        self.tracer = tracer
         self.counters = counters
         self.map_task_list: Deque[MapTaskRequest] = deque()
         self.reduce_task_list: Deque[ReduceTaskRequest] = deque()
@@ -129,8 +131,9 @@ class CacheAwareTaskScheduler:
             return None
         request = self.map_task_list.popleft()
         self._count("sched.map_dispatched")
-        if self.trace is not None:
-            self.trace.record(
+        if self.tracer is not None:
+            record_decision(
+                self.tracer,
                 SchedulingDecision(
                     event="pop",
                     kind=MAP_SLOT,
@@ -164,8 +167,9 @@ class CacheAwareTaskScheduler:
         self.reduce_task_list.rotate(best_idx)
         self._count("sched.reduce_dispatched")
         self._count(f"sched.reduce_rank{best_rank}_dispatched")
-        if self.trace is not None:
-            self.trace.record(
+        if self.tracer is not None:
+            record_decision(
+                self.tracer,
                 SchedulingDecision(
                     event="pop",
                     kind=REDUCE_SLOT,
@@ -220,9 +224,10 @@ class CacheAwareTaskScheduler:
         if removed:
             self.reduce_task_list = kept
             self._count("sched.reduce_dropped", len(removed))
-            if self.trace is not None:
+            if self.tracer is not None:
                 for request in removed:
-                    self.trace.record(
+                    record_decision(
+                        self.tracer,
                         SchedulingDecision(
                             event="drop",
                             kind=REDUCE_SLOT,
@@ -290,8 +295,8 @@ class CacheAwareTaskScheduler:
             until = now + self.cluster.config.blacklist_cooldown
             self._blacklisted_until[node_id] = until
             self._count("sched.nodes_blacklisted")
-            if self.trace is not None and self.trace.spine is not None:
-                self.trace.spine.instant(
+            if self.tracer is not None:
+                self.tracer.instant(
                     "node.blacklisted",
                     "fault",
                     time=now,
@@ -310,8 +315,8 @@ class CacheAwareTaskScheduler:
         del self._blacklisted_until[node_id]
         self._failure_scores.pop(node_id, None)
         self._count("sched.nodes_unblacklisted")
-        if self.trace is not None and self.trace.spine is not None:
-            self.trace.spine.instant(
+        if self.tracer is not None:
+            self.tracer.instant(
                 "node.unblacklisted",
                 "fault",
                 time=now,
@@ -344,8 +349,9 @@ class CacheAwareTaskScheduler:
         node = self._argmin_eq4(MAP_SLOT, now, io_cost)
         if node.node_id in locations:
             self._count("sched.map_local_selects")
-        if self.trace is not None:
-            self.trace.record(
+        if self.tracer is not None:
+            record_decision(
+                self.tracer,
                 SchedulingDecision(
                     event="select",
                     kind=MAP_SLOT,
@@ -374,8 +380,9 @@ class CacheAwareTaskScheduler:
         node = self._argmin_eq4(REDUCE_SLOT, now, io_cost)
         if cached.get(node.node_id, 0) > 0:
             self._count("sched.reduce_cache_local_selects")
-        if self.trace is not None:
-            self.trace.record(
+        if self.tracer is not None:
+            record_decision(
+                self.tracer,
                 SchedulingDecision(
                     event="select",
                     kind=REDUCE_SLOT,

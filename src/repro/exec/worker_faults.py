@@ -8,8 +8,9 @@ pool: a worker can crash hard (``os._exit`` — no exception, no cleanup,
 exactly like an OOM kill), hang past the supervisor's batch deadline,
 or merely slow down. The supervisor in :mod:`repro.exec.supervisor`
 must detect each, recover, and keep window digests byte-identical to a
-fault-free serial run — the contract the worker-fault differential
-oracle (``repro.chaos.oracle.run_worker_fault_differential``) enforces.
+fault-free serial run — the contract the differential oracle
+(``repro.chaos.oracle.run_differential`` on a supervised process
+backend) enforces.
 
 Faults are armed on the *coordinator* side (a seeded plan or a chaos
 event decides which task ordinals are hit) and shipped into the worker

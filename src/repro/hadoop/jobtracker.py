@@ -33,7 +33,7 @@ from .hdfs import FileSplit
 from .job import MapReduceJob
 from .node import MAP_SLOT, REDUCE_SLOT, SlotKind, TaskNode
 from .task import MapExecution, ReduceExecution, execute_map, execute_reduce
-from .timeline import SchedulingDecision, SchedulingTrace
+from .timeline import SchedulingDecision, record_decision
 from .types import KeyValue, Record
 
 __all__ = ["FIFOScheduler", "JobResult", "JobTracker"]
@@ -46,13 +46,13 @@ class FIFOScheduler:
     wins; when several free at the same instant, data-local nodes are
     preferred, then the lowest node id (for determinism).
 
-    Like the cache-aware scheduler, it can record every placement into
-    a :class:`~repro.hadoop.timeline.SchedulingTrace` so baseline runs
-    expose the same decision log as Redoop runs.
+    Like the cache-aware scheduler, it can record every placement on a
+    span spine as a :class:`~repro.hadoop.timeline.SchedulingDecision`,
+    so baseline runs expose the same decision log as Redoop runs.
     """
 
-    def __init__(self, *, trace: Optional[SchedulingTrace] = None) -> None:
-        self.trace = trace
+    def __init__(self, *, tracer: Optional[Tracer] = None) -> None:
+        self.tracer = tracer
 
     def choose_node(
         self,
@@ -73,8 +73,9 @@ class FIFOScheduler:
             return (est_start, local, node.node_id)
 
         node = min(live, key=rank)
-        if self.trace is not None:
-            self.trace.record(
+        if self.tracer is not None:
+            record_decision(
+                self.tracer,
                 SchedulingDecision(
                     event="select",
                     kind=kind,

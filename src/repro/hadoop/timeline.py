@@ -8,17 +8,17 @@ compute per-node busy time, slot utilisation over a horizon, and the
 cluster-wide concurrency profile — the observability a real deployment
 would get from the JobTracker UI.
 
-:class:`SchedulingTrace` complements the timeline with *decisions*: for
-every task the cache-aware scheduler pops from a task list and places,
-it records which request was dequeued, at what cache-coverage rank, and
-why the chosen node won Eq. 4 (its load and its ``C_task`` I/O cost).
-Benchmarks and tests use the trace to assert *why* a node was chosen —
-not merely that something ran somewhere.
+:class:`SchedulingDecision` complements the timeline with *decisions*:
+for every task the cache-aware scheduler pops from a task list and
+places, it records which request was dequeued, at what cache-coverage
+rank, and why the chosen node won Eq. 4 (its load and its ``C_task`` I/O
+cost). Tests use the log to assert *why* a node was chosen — not merely
+that something ran somewhere.
 
-Since the observability unification, :class:`SchedulingTrace` is a
-facade over the span spine (:class:`repro.trace.Tracer`): every
-decision is stored as one ``"sched"``-category trace event, so the
-decision log and the exported run trace are a single source of truth.
+The decision log lives on the span spine (:class:`repro.trace.Tracer`):
+:func:`record_decision` stores each decision as one ``"sched"``-category
+trace event and :func:`decisions` reads them back, so the decision log
+and the exported run trace are a single source of truth.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ __all__ = [
     "Timeline",
     "attach_timeline",
     "SchedulingDecision",
-    "SchedulingTrace",
+    "decisions",
+    "record_decision",
 ]
 
 
@@ -178,84 +179,34 @@ class SchedulingDecision:
     queue_depth: Optional[int] = None
 
 
-class SchedulingTrace:
-    """Scheduling-decision view over the span spine.
+def record_decision(tracer: Tracer, decision: SchedulingDecision) -> None:
+    """Store ``decision`` as one ``"sched.<event>"`` instant on the spine,
+    with the decision itself as the event's ``data`` payload."""
+    tracer.instant(
+        f"sched.{decision.event}",
+        CAT_SCHED,
+        time=decision.time,
+        node_id=decision.node_id,
+        data=decision,
+        task=decision.task,
+        kind=str(decision.kind),
+    )
 
-    Each :meth:`record` call becomes one ``"sched"`` trace event on the
-    underlying :class:`~repro.trace.Tracer` (a private one when
-    constructed standalone, the runtime's shared spine otherwise), with
-    the full :class:`SchedulingDecision` riding in the event's ``data``
-    payload. Queries read back from the spine, so there is exactly one
-    store: the Chrome-trace export and these assertions cannot drift.
-    """
 
-    def __init__(self, spine: Optional[Tracer] = None) -> None:
-        self._spine = spine if spine is not None else Tracer()
-
-    @property
-    def spine(self) -> Tracer:
-        """The tracer this decision log writes to."""
-        return self._spine
-
-    def record(self, decision: SchedulingDecision) -> None:
-        self._spine.instant(
-            f"sched.{decision.event}",
-            CAT_SCHED,
-            time=decision.time,
-            node_id=decision.node_id,
-            data=decision,
-            task=decision.task,
-            kind=str(decision.kind),
-        )
-
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
-
-    def decisions(
-        self,
-        *,
-        event: Optional[str] = None,
-        kind: Optional[SlotKind] = None,
-    ) -> List[SchedulingDecision]:
-        """Recorded decisions, optionally filtered by event and kind."""
-        return [
-            d
-            for d in (
-                e.data for e in self._spine.events(category=CAT_SCHED)
-            )
-            if isinstance(d, SchedulingDecision)
-            and (event is None or d.event == event)
-            and (kind is None or d.kind == kind)
-        ]
-
-    def pops(self, kind: Optional[SlotKind] = None) -> List[SchedulingDecision]:
-        return self.decisions(event="pop", kind=kind)
-
-    def selects(self, kind: Optional[SlotKind] = None) -> List[SchedulingDecision]:
-        return self.decisions(event="select", kind=kind)
-
-    def executions(
-        self, kind: Optional[SlotKind] = None
-    ) -> List[SchedulingDecision]:
-        return self.decisions(event="execute", kind=kind)
-
-    def drops(self, kind: Optional[SlotKind] = None) -> List[SchedulingDecision]:
-        return self.decisions(event="drop", kind=kind)
-
-    def nodes_chosen(self, kind: Optional[SlotKind] = None) -> Dict[int, int]:
-        """Selections per node — the placement-balance picture."""
-        chosen: Dict[int, int] = defaultdict(int)
-        for d in self.selects(kind):
-            if d.node_id is not None:
-                chosen[d.node_id] += 1
-        return dict(chosen)
-
-    def clear(self) -> None:
-        self._spine.clear_events(CAT_SCHED)
-
-    def __len__(self) -> int:
-        return len(self._spine.events(category=CAT_SCHED))
+def decisions(
+    tracer: Tracer,
+    *,
+    event: Optional[str] = None,
+    kind: Optional[SlotKind] = None,
+) -> List[SchedulingDecision]:
+    """Recorded decisions, optionally filtered by event and slot kind."""
+    return [
+        d
+        for d in (e.data for e in tracer.events(category=CAT_SCHED))
+        if isinstance(d, SchedulingDecision)
+        and (event is None or d.event == event)
+        and (kind is None or d.kind == kind)
+    ]
 
 
 def attach_timeline(cluster: Cluster) -> Timeline:

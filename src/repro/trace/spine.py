@@ -7,9 +7,9 @@ both stamped with *virtual* (sim-clock) times:
   execution phase (map / shuffle / pane-reduce / combine / post), one
   task occupying a slot. Spans form a tree via ``parent_id``, giving
   the hierarchy ``run → recurrence → phase → task``.
-* **events** — instants: scheduler decisions (the PR-1
-  ``SchedulingTrace`` family lives here), injected faults, task
-  retries, cache losses. Events may be parented to a span.
+* **events** — instants: scheduler decisions (the ``sched.*`` family,
+  read back with ``repro.hadoop.timeline.decisions``), injected faults,
+  task retries, cache losses. Events may be parented to a span.
 
 The tracer is deliberately dumb: it never interprets names, never
 aggregates, and never touches the clock — producers stamp times

@@ -62,7 +62,7 @@ def generate_position_records(
     """Player position samples covering ``[t_start, t_end)``."""
     config = config if config is not None else FFGConfig()
     count = _count(rate, t_start, t_end, config.record_size)
-    rng = random.Random((seed, "pos", round(t_start * 1000)).__hash__())
+    rng = random.Random(f"{seed}:pos:{round(t_start * 1000)}")
     duration = t_end - t_start
     step = duration / count
     records: List[Record] = []
@@ -96,7 +96,7 @@ def generate_event_records(
     """Per-player event annotations covering ``[t_start, t_end)``."""
     config = config if config is not None else FFGConfig()
     count = _count(rate, t_start, t_end, config.record_size)
-    rng = random.Random((seed, "evt", round(t_start * 1000)).__hash__())
+    rng = random.Random(f"{seed}:evt:{round(t_start * 1000)}")
     duration = t_end - t_start
     step = duration / count
     records: List[Record] = []

@@ -15,9 +15,9 @@ from repro.chaos import (
     ChaosSchedule,
     EVENT_KINDS,
     run_chaos_series,
-    run_worker_fault_differential,
+    run_differential,
 )
-from repro.exec import ProcessPoolBackend
+from repro.exec import ProcessPoolBackend, SerialBackend
 
 from .conftest import mini_config
 
@@ -101,35 +101,51 @@ class TestDriverApplication:
         assert report.ok, report.violations
 
 
+@pytest.fixture
+def supervised():
+    backend = ProcessPoolBackend(workers=2, batch_deadline=2.0)
+    yield backend
+    backend.close()
+
+
+class ArmedButHarmless(SerialBackend):
+    """Accepts worker faults like a pool backend, then never loses one."""
+
+    parallel = True
+
+    def inject_worker_faults(self, kind, *, count=1):
+        pass
+
+
 class TestWorkerFaultDifferential:
-    def test_kill_and_hang_are_output_neutral(self):
-        report = run_worker_fault_differential(
-            mini_config(), worker_schedule(), batch_deadline=2.0
+    def test_kill_and_hang_are_output_neutral(self, supervised):
+        report = run_differential(
+            mini_config(), worker_schedule(), backend=supervised
         )
-        assert report.worker_events_applied
-        assert report.faults_exercised
-        assert report.mismatched_windows == []
-        assert report.degraded_windows == []
+        assert report.runs["chaos"].runtime_counters["exec.worker_lost"] > 0
+        assert report.mismatches == []
+        assert report.skipped == []
+        assert report.unmet == []
         assert report.ok, report.summary()
         assert "recovery:" in report.summary()
 
-    def test_join_workload_parity_under_kills(self):
+    def test_join_workload_parity_under_kills(self, supervised):
         sched = ChaosSchedule(
             seed=6,
             events=(ChaosEvent(at=45.0, kind="worker-kill", count=2),),
         )
-        report = run_worker_fault_differential(
-            mini_config("join"), sched, batch_deadline=2.0
+        report = run_differential(
+            mini_config("join"), sched, backend=supervised
         )
-        assert report.faults_exercised
-        assert report.mismatched_windows == []
+        assert report.runs["chaos"].runtime_counters["exec.worker_lost"] > 0
+        assert report.mismatches == []
         assert report.ok, report.summary()
 
     def test_terminal_fault_degrades_one_window_and_converges(self):
         # A rebuild budget of zero turns the first worker loss into the
         # terminal path: WorkerFaultError -> TaskAttemptsExhaustedError
         # -> degraded window with cache rollback. Later windows must
-        # converge back to the fault-free baseline exactly.
+        # converge back to the fault-free reference exactly.
         backend = ProcessPoolBackend(
             workers=2,
             batch_deadline=2.0,
@@ -140,45 +156,30 @@ class TestWorkerFaultDifferential:
             seed=8, events=(ChaosEvent(at=45.0, kind="worker-kill"),)
         )
         try:
-            report = run_worker_fault_differential(
-                mini_config(), sched, backend=backend
-            )
+            report = run_differential(mini_config(), sched, backend=backend)
         finally:
             backend.close()
-        assert report.faults_exercised
-        assert report.degraded_windows != []
-        assert report.mismatched_windows == []
-        last = len(report.baseline.output_digests) - 1
-        assert (
-            report.chaos.series.output_digests[last]
-            == report.baseline.output_digests[last]
-        )
+        assert report.runs["chaos"].runtime_counters["exec.worker_lost"] > 0
+        assert report.skipped != []
+        assert report.mismatches == []
+        reference, chaos = report.digests["fault-free"], report.digests["chaos"]
+        for window in range(max(report.skipped) + 1, len(reference) + 1):
+            assert chaos[window] == reference[window]
         assert report.ok, report.summary()
 
     def test_armed_but_unexercised_run_fails_the_verdict(self):
         # A worker event that never actually lost a worker proves
         # nothing — the report must refuse to claim fault coverage even
         # when every digest matches.
-        from repro.bench.harness import run_redoop_series
-        from repro.chaos import WorkerFaultDifferentialReport
-        from repro.chaos.driver import ChaosReport
-
-        cfg = mini_config(num_windows=2)
-        baseline = run_redoop_series(cfg)
         sched = ChaosSchedule(
             seed=2, events=(ChaosEvent(at=45.0, kind="worker-kill"),)
         )
-        report = WorkerFaultDifferentialReport(
-            schedule=sched,
-            baseline=baseline,
-            chaos=ChaosReport(
-                schedule=sched,
-                series=baseline,
-                events_applied=["t=45s worker-kill"],
-            ),
-            exec_counters={},  # no exec.worker_lost: injection was a no-op
+        report = run_differential(
+            mini_config(num_windows=2), sched, backend=ArmedButHarmless()
         )
-        assert report.worker_events_applied
-        assert not report.faults_exercised
+        assert report.mismatches == []
+        assert report.unmet == [
+            "chaos: applied worker faults lost a worker (exec.worker_lost > 0)"
+        ]
         assert not report.ok
-        assert "NO WORKER WAS LOST" in report.summary()
+        assert "UNMET: chaos: applied worker faults lost a worker" in report.summary()

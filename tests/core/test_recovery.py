@@ -14,6 +14,7 @@ from repro.core import (
     RecoveryManager,
 )
 from repro.hadoop import FaultInjector
+from repro.hadoop.timeline import decisions
 
 from .test_runtime import feed, make_runtime
 
@@ -230,7 +231,7 @@ class TestNodeFailureRecovery:
         )
         runtime.scheduler.enqueue_reduce(request)
         recovery.fail_node(victim)
-        drops = runtime.sched_trace.drops()
+        drops = decisions(runtime.tracer, event="drop")
         assert any(d.request is request for d in drops)
 
     def test_sticky_partitions_remap_after_node_loss(self, warm_runtime):

@@ -15,6 +15,7 @@ from __future__ import annotations
 from repro.core import RecurringQuery, RedoopRuntime, WindowSpec, merging_finalizer
 from repro.hadoop import Cluster, small_test_config
 from repro.hadoop.node import MAP_SLOT, REDUCE_SLOT
+from repro.hadoop.timeline import decisions
 
 from ..conftest import wordcount_job
 from .test_runtime import RATE, WIN, SLIDE, batch, feed, make_query
@@ -43,10 +44,9 @@ class TestExecutedIsPopped:
         assert len(results) >= 2  # both queries ran at least once
         assert all(r.output for r in results)
 
-        trace = runtime.sched_trace
         for kind in (MAP_SLOT, REDUCE_SLOT):
-            pops = trace.pops(kind)
-            execs = trace.executions(kind)
+            pops = decisions(runtime.tracer, event="pop", kind=kind)
+            execs = decisions(runtime.tracer, event="execute", kind=kind)
             assert execs, f"no {kind} executions were traced"
             # Every executed request object IS a popped one, in the
             # exact order the task list dictated.
@@ -59,7 +59,7 @@ class TestExecutedIsPopped:
         feed(runtime, 50.0)
         runtime.run_recurrence("wc")
         runtime.run_recurrence("wc2")
-        queries = {d.request.query for d in runtime.sched_trace.pops()}
+        queries = {d.request.query for d in decisions(runtime.tracer, event="pop")}
         assert queries == {"wc", "wc2"}
 
     def test_task_lists_drain_empty_after_a_recurrence(self):
@@ -73,7 +73,7 @@ class TestExecutedIsPopped:
         runtime = make_two_query_runtime()
         feed(runtime, 50.0)
         runtime.run_recurrence("wc")
-        selects = runtime.sched_trace.selects()
+        selects = decisions(runtime.tracer, event="select")
         assert selects
         for d in selects:
             assert d.node_id is not None
@@ -123,5 +123,5 @@ class TestStickyReduceTarget:
         runtime = make_two_query_runtime()
         feed(runtime, 50.0)
         runtime.run_recurrence("wc")
-        for d in runtime.sched_trace.decisions(kind=REDUCE_SLOT):
+        for d in decisions(runtime.tracer, kind=REDUCE_SLOT):
             assert d.request.panes, f"phantom request traced: {d.request!r}"

@@ -251,12 +251,13 @@ class TestContendedOrdering:
         assert starts[2] <= starts[1] <= starts[0]
 
 
-class TestSchedulingTrace:
+class TestDecisionLog:
     def test_pops_and_selects_are_recorded_with_rank(self, cluster):
-        from repro.hadoop.timeline import SchedulingTrace
+        from repro.hadoop.timeline import decisions
+        from repro.trace import Tracer
 
-        trace = SchedulingTrace()
-        scheduler = CacheAwareTaskScheduler(cluster, trace=trace)
+        tracer = Tracer()
+        scheduler = CacheAwareTaskScheduler(cluster, tracer=tracer)
         full = reduce_request(nbytes=10, cached=[(1, 10)])
         uncached = reduce_request(nbytes=10)
         scheduler.enqueue_reduce(uncached)
@@ -265,10 +266,10 @@ class TestSchedulingTrace:
         popped = scheduler.next_reduce()
         scheduler.select_reduce_node(popped, now=0.0)
 
-        [pop] = trace.pops(REDUCE_SLOT)
+        [pop] = decisions(tracer, event="pop", kind=REDUCE_SLOT)
         assert pop.request is full
         assert pop.rank == 0
-        [select] = trace.selects(REDUCE_SLOT)
+        [select] = decisions(tracer, event="select", kind=REDUCE_SLOT)
         assert select.request is full
         assert select.node_id == 1
         assert select.load is not None and select.c_task is not None

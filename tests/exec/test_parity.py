@@ -130,7 +130,7 @@ class TestChaosParity:
         self, process_backend
     ):
         """Faults and parallel user-code composed: the chaos run on the
-        process backend must still match its fault-free baseline."""
+        process backend must still match its fault-free serial reference."""
         schedule = ChaosSchedule(
             seed=3,
             events=(
@@ -146,7 +146,7 @@ class TestChaosParity:
             backend=process_backend,
         )
         assert report.ok
-        assert report.mismatched_windows == []
+        assert report.mismatches == []
 
     def test_chaos_digests_match_across_backends(self, process_backend):
         """The *chaos* series itself is backend-deterministic: same

@@ -24,17 +24,21 @@ SCENARIO = ServiceScenario(tenants=3, recurrences=6)
 def test_differential_is_byte_identical_and_shares():
     report = run_sharing_differential(SCENARIO)
     assert report.mismatches == []
-    assert report.shared_scans > 0
-    assert report.shared_map_bytes_saved > 0
+    counters = report.runs["shared"].counters
+    assert counters["plan.shared_scans"] > 0
+    assert counters["plan.shared_map_bytes_saved"] > 0
+    assert report.unmet == []
     assert report.ok
-    assert "byte-identical" in report.summary()
+    assert report.summary().endswith("verdict: OK")
+    # Windows are keyed per tenant: every tenant's recurrences compared.
+    assert {tenant for tenant, _ in report.digests["shared"]} == {"t00", "t01", "t01r", "t02"}
 
 
 def test_differential_survives_a_node_kill():
     plan = default_fault_plan(SCENARIO)
     assert [a.kind for a in plan] == ["node-kill", "node-recover"]
     report = run_sharing_differential(SCENARIO, fault_plan=plan)
-    assert report.faults_applied == 2
+    assert "faults_applied=2" in report.summary()
     assert report.ok, report.summary()
 
 
@@ -44,9 +48,10 @@ def test_differential_reports_a_manufactured_mismatch():
     lone = ServiceScenario(tenants=1, recurrences=3, churn=False)
     report = run_sharing_differential(lone)
     assert report.mismatches == []  # outputs still agree...
-    assert report.shared_scans == 0  # ...but nothing was shared
-    assert not report.ok
-    assert "never shared" in report.summary()
+    assert report.runs["shared"].counters.get("plan.shared_scans", 0) == 0
+    assert "the shared run shared a scan (plan.shared_scans > 0)" in report.unmet
+    assert not report.ok  # ...but nothing was shared
+    assert "UNMET: the shared run shared a scan" in report.summary()
 
 
 def test_submit_counts_prefix_matches():

@@ -1,22 +1,36 @@
-"""The reuse differential oracle, fault-free and under chaos."""
+"""The reuse differential: fault-free and under chaos, store-off vs.
+cold vs. warm."""
 
 from __future__ import annotations
 
 from repro.bench.experiments import join_config
-from repro.chaos import ChaosEvent, ChaosSchedule, run_reuse_differential
+from repro.chaos import ChaosEvent, ChaosSchedule, run_differential
+from repro.reuse import ReuseStore
 
 CONFIG = join_config(0.75, scale=0.05, num_windows=3)
 
 
 class TestReuseDifferential:
     def test_fault_free_parity_and_hits(self):
-        report = run_reuse_differential(CONFIG)
+        report = run_differential(CONFIG, reuse_store=ReuseStore())
         assert report.ok, report.summary()
-        assert report.mismatched_windows == []
+        assert list(report.runs) == ["fault-free", "cold", "warm"]
+        assert report.mismatches == []
         assert report.violations == []
-        assert report.warm_hits > 0
-        assert report.warm_reuse_counters["reuse.bytes_saved"] > 0
+        warm = report.runs["warm"].runtime_counters
+        assert warm["reuse.hits"] > 0
+        assert warm["reuse.bytes_saved"] > 0
         assert "verdict: OK" in report.summary()
+
+    def test_warm_run_without_hits_fails_the_verdict(self):
+        # A one-byte store retains nothing, so the warm run recomputes
+        # everything: answers still agree, but the store never served.
+        report = run_differential(CONFIG, reuse_store=ReuseStore(capacity_bytes=1))
+        assert report.mismatches == []
+        assert report.runs["warm"].runtime_counters.get("reuse.hits", 0) == 0
+        assert report.unmet == ["the warm run hit the store (reuse.hits > 0)"]
+        assert not report.ok
+        assert "UNMET: the warm run hit the store" in report.summary()
 
     def test_parity_holds_under_chaos_schedule(self):
         schedule = ChaosSchedule(
@@ -28,8 +42,8 @@ class TestReuseDifferential:
                 ChaosEvent(at=400.0, kind="cache-corrupt", cache_type=2, fraction=0.5),
             ),
         )
-        report = run_reuse_differential(CONFIG, schedule)
-        assert report.mismatched_windows == []
+        report = run_differential(CONFIG, schedule, reuse_store=ReuseStore())
+        assert report.mismatches == []
         assert report.violations == []
 
     def test_random_seeded_schedules(self):
@@ -42,6 +56,6 @@ class TestReuseDifferential:
                 slide=CONFIG.slide,
                 events_per_window=1.0,
             )
-            report = run_reuse_differential(CONFIG, schedule)
-            assert report.mismatched_windows == [], report.summary()
+            report = run_differential(CONFIG, schedule, reuse_store=ReuseStore())
+            assert report.mismatches == [], report.summary()
             assert report.violations == [], report.summary()

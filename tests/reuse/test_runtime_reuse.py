@@ -13,7 +13,7 @@ from typing import List, Optional
 
 from repro.bench.experiments import aggregation_config, join_config
 from repro.bench.harness import ExperimentConfig, build_workload, run_redoop_series
-from repro.bench.reuse import run_warm_cold
+from repro.chaos import run_differential
 from repro.core.runtime import RedoopRuntime
 from repro.hadoop.cluster import Cluster
 from repro.reuse import ReuseStore
@@ -59,20 +59,26 @@ def drive(
 
 class TestWarmWindowShortCircuit:
     def test_second_tenant_is_served_from_window_artifacts(self):
-        report = run_warm_cold(join_config(0.75, scale=SCALE, num_windows=3))
-        assert report.digests_equal
-        assert report.reuse_counters["reuse.window_hits"] == 3
-        assert report.warm_avg_response < report.cold_avg_response / 2
-        assert report.bytes_saved > 0
-        assert report.ok
+        report = run_differential(
+            join_config(0.75, scale=SCALE, num_windows=3), reuse_store=ReuseStore()
+        )
+        assert report.ok, report.summary()
+        cold, warm = report.runs["cold"], report.runs["warm"]
+        assert warm.runtime_counters["reuse.window_hits"] == 3
+        assert warm.avg_response() < cold.avg_response() / 2
+        assert warm.runtime_counters["reuse.bytes_saved"] > 0
 
     def test_publication_is_timing_neutral(self):
         # The cold (publishing) run must clock exactly like a store-free
         # run: publication happens outside the measured window path.
-        report = run_warm_cold(
-            aggregation_config(0.75, scale=SCALE, num_windows=3)
+        report = run_differential(
+            aggregation_config(0.75, scale=SCALE, num_windows=3),
+            reuse_store=ReuseStore(),
         )
-        assert report.off.response_times() == report.cold.response_times()
+        assert (
+            report.runs["fault-free"].response_times()
+            == report.runs["cold"].response_times()
+        )
 
 
 class TestPaneSubsumption:
@@ -161,9 +167,9 @@ class TestDigestParityAcrossFigures:
             aggregation_config(0.1, scale=SCALE, num_windows=3),
             join_config(0.5, scale=SCALE, num_windows=3),
         ):
-            report = run_warm_cold(config)
-            assert report.digests_equal, config.kind
-            assert report.hits > 0, config.kind
+            report = run_differential(config, reuse_store=ReuseStore())
+            assert report.mismatches == [], config.kind
+            assert report.ok, report.summary()
 
 
 class TestSeriesHarnessThreading:

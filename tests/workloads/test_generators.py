@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import hashlib
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.workloads.ffg import (
     FFGConfig,
     generate_event_records,
@@ -75,7 +81,9 @@ class TestWCC:
     @given(
         t0=st.floats(0, 1e4),
         dur=st.floats(1.0, 1e3),
-        rate=st.floats(100.0, 1e6),
+        # <= 2,000 B/s x 1,000 s / 100 B = 20k records per example: the
+        # property is about the interval's float edges, not volume.
+        rate=st.floats(100.0, 2_000.0),
     )
     @settings(max_examples=25, deadline=None)
     def test_records_sorted_enough_property(self, t0, dur, rate):
@@ -122,6 +130,30 @@ class TestFFG:
         c = generate_event_records(0.0, 5.0, 1000.0, seed=9)
         assert a == b
         assert [r.ts for r in a] != [r.ts for r in c] or a != c
+
+    def test_records_identical_across_hash_seeds(self):
+        # A tuple seed holding a str goes through hash(), salted per
+        # process: the join data would change with every run.
+        script = (
+            "from repro.workloads.ffg import *\n"
+            "print(repr(generate_position_records(0, 5, 1e5, seed=3)))\n"
+            "print(repr(generate_event_records(0, 5, 1e5, seed=3)))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src},
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for hash_seed in ("1", "2")
+        ]
+        assert "positions" in outputs[0] and "events" in outputs[0]
+        # Compare digests: a diff of two ~1 MB reprs would take minutes.
+        digests = [hashlib.sha256(out.encode()).hexdigest() for out in outputs]
+        assert digests[0] == digests[1]
 
     def test_validation(self):
         with pytest.raises(ValueError):
