@@ -175,4 +175,22 @@ def check_invariants(runtime) -> List[str]:
             "execution backend left a broken process pool behind"
         )
 
+    # 10. Byte accounting: a live node's running ``cached_bytes`` equals
+    #     the summed size of its entries (expired ones included) whose
+    #     files exist. Drift here would let admission control and
+    #     invariant 7 judge the budget against the wrong number.
+    for node_id, registry in sorted(registries.items()):
+        if not registry.node.alive:
+            continue
+        backed = sum(
+            e.size
+            for e in registry.entries()
+            if registry.node.has_local(e.local_name)
+        )
+        if registry.cached_bytes != backed:
+            violations.append(
+                f"node {node_id} registry counts {registry.cached_bytes} "
+                f"cached bytes but its files hold {backed}"
+            )
+
     return violations

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
+from .cache_registry import REDUCE_INPUT, REDUCE_OUTPUT
 from .panes import WindowSpec, pane_name, parse_pane_name
 from .status_matrix import CacheStatusMatrix
 
@@ -76,6 +77,9 @@ class _QueryInfo:
     specs: Dict[str, WindowSpec]
     matrix: CacheStatusMatrix
 
+
+#: Every cache type a signature can carry (Table 1's domain).
+_CACHE_TYPES = (REDUCE_INPUT, REDUCE_OUTPUT)
 
 #: Callback signature for ready-bit transitions: ``(pid, old, new)``.
 ReadyListener = Callable[[str, int, int], None]
@@ -283,9 +287,7 @@ class WindowAwareCacheController:
 
     def _mark_query_done(self, query: str, pid: str) -> List[PurgeNotification]:
         notifications: List[PurgeNotification] = []
-        for (sig_pid, _type), signature in self._signatures.items():
-            if sig_pid != pid:
-                continue
+        for signature in self._pid_signatures(pid):
             signature.done_query_mask[query] = True
             if signature.all_done():
                 notifications.append(
@@ -333,7 +335,25 @@ class WindowAwareCacheController:
     # ------------------------------------------------------------------
 
     def _has_any_cache(self, pid: str) -> bool:
-        return any(sig_pid == pid for (sig_pid, _t) in self._signatures)
+        return any((pid, t) in self._signatures for t in _CACHE_TYPES)
+
+    def _pid_signatures(self, pid: str) -> List[CacheSignature]:
+        """``pid``'s signatures in creation order, by direct lookup.
+
+        The order decides which node list :meth:`_dedupe` keeps when both
+        types expire together, so only when their nodes differ does a
+        scan find which came first (a loss and rebuild reorders them).
+        """
+        found = [
+            sig
+            for t in _CACHE_TYPES
+            if (sig := self._signatures.get((pid, t))) is not None
+        ]
+        if len(found) == 2 and found[0].nodes != found[1].nodes:
+            first = next(key for key in self._signatures if key[0] == pid)
+            if first[1] != found[0].cache_type:
+                found.reverse()
+        return found
 
     def _info(self, query: str) -> _QueryInfo:
         try:

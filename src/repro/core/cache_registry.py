@@ -137,6 +137,9 @@ class LocalCacheRegistry:
         self._entries: Dict[Tuple[str, int, int], CacheEntry] = {}
         self._last_periodic_purge = 0.0
         self._use_clock = 0
+        #: Running sum of every entry's size, so ``cached_bytes`` is O(1);
+        #: chaos invariant 10 reconciles it against the files.
+        self._bytes = 0
         #: High-water mark of ``cached_bytes`` (the registry's working
         #: set); lets a bench size budgets as a fraction of the peak.
         self.peak_cached_bytes = 0
@@ -183,8 +186,10 @@ class LocalCacheRegistry:
             last_used=self._next_use(),
         )
         self.node.store_local(entry.local_name, size, payload, created_at=now)
+        old = self._entries.get((pid, cache_type, partition))
+        self._bytes += size - (0 if old is None else old.size)
         self._entries[(pid, cache_type, partition)] = entry
-        self.peak_cached_bytes = max(self.peak_cached_bytes, self.cached_bytes)
+        self.peak_cached_bytes = max(self.peak_cached_bytes, self._bytes)
         return entry
 
     # ------------------------------------------------------------------
@@ -223,6 +228,19 @@ class LocalCacheRegistry:
         entry.last_used = self._next_use()
         return lf.payload, lf.size
 
+    def touch(self, pid: str, cache_type: int, partition: int) -> Optional[int]:
+        """Size of a live entry, counted as a use for LRU; ``None`` if absent.
+
+        :meth:`read` without the payload and checksum, for Eq. 4 sizing.
+        The use clock advances as a read's would, so eviction order is
+        the same whichever of the two sized the entry.
+        """
+        if not self.has(pid, cache_type, partition):
+            return None
+        entry = self._entries[(pid, cache_type, partition)]
+        entry.last_used = self._next_use()
+        return entry.size
+
     def verify(self, pid: str, cache_type: int, partition: int) -> bool:
         """``True`` iff the entry is live *and* its content checks out.
 
@@ -248,17 +266,14 @@ class LocalCacheRegistry:
 
     @property
     def cached_bytes(self) -> int:
-        """Bytes attributable to registered cache entries.
+        """Bytes attributable to registered cache entries, expired ones included.
 
-        Deliberately *not* ``node.local_bytes``: the local FS also
+        A running total, so O(1); 0 on a dead node, whose local FS is
+        gone. Deliberately *not* ``node.local_bytes``: the local FS also
         holds spills and unregistered tmp runs that are no business of
         the cache budget.
         """
-        return sum(
-            e.size
-            for e in self._entries.values()
-            if self.node.has_local(e.local_name)
-        )
+        return self._bytes if self.node.alive else 0
 
     def entry_size(self, pid: str, cache_type: int, partition: int) -> int:
         """Bytes an existing backed entry holds (0 when absent).
@@ -300,11 +315,14 @@ class LocalCacheRegistry:
 
     def drop_lost(self, pid: str, cache_type: int, partition: int) -> None:
         """Forget an entry whose backing file was destroyed (cache failure)."""
-        self._entries.pop((pid, cache_type, partition), None)
+        entry = self._entries.pop((pid, cache_type, partition), None)
+        if entry is not None:
+            self._bytes -= entry.size
 
     def forget_all(self) -> None:
         """Forget every entry (node failure: the local FS is gone)."""
         self._entries.clear()
+        self._bytes = 0
 
     # ------------------------------------------------------------------
     # purging (Sec. 4.1 "periodic and on-demand purging")
@@ -355,4 +373,5 @@ class LocalCacheRegistry:
                 self.node.delete_local(entry.local_name)
             purged.append(entry)
             del self._entries[key]
+            self._bytes -= entry.size
         return purged

@@ -302,6 +302,9 @@ class RedoopRuntime:
         #: recurrence-scoped phase spans (``None`` outside a recurrence;
         #: proactive work emitted then parents to the run span).
         self._phase_spans: Optional[Dict[str, Span]] = None
+        #: phase -> (min start, max end) of the task spans ``_emit_task``
+        #: hung under that phase span; set and cleared with it.
+        self._phase_envelopes: Optional[Dict[str, Tuple[float, float]]] = None
         #: Every task-list pop, Eq. 4 selection, and execution lands on
         #: ``self.tracer`` as a ``"sched"`` event — the audit trail proving
         #: the scheduler is real (read back with ``timeline.decisions``).
@@ -704,11 +707,14 @@ class RedoopRuntime:
         reclaims space right away) instead of waiting for the next
         periodic purge cycle.
         """
+        pids_by_node: Dict[int, List[str]] = {}
         for notification in notifications:
             for node_id in notification.node_ids:
-                registry = self._registries.get(node_id)
-                if registry is not None:
-                    registry.mark_expired([notification.pid])
+                pids_by_node.setdefault(node_id, []).append(notification.pid)
+        for node_id, pids in pids_by_node.items():
+            registry = self._registries.get(node_id)
+            if registry is not None:
+                registry.mark_expired(pids)
         if purge_now and notifications:
             purged_total = 0
             for registry in self._registries.values():
@@ -1008,6 +1014,7 @@ class RedoopRuntime:
             name: self.tracer.begin(name, CAT_PHASE, t0, parent=rec_span)
             for name in PHASE_NAMES
         }
+        self._phase_envelopes = {}
         degraded = False
         self._recurrence_cache_log = []
         try:
@@ -1083,6 +1090,7 @@ class RedoopRuntime:
             self._degrade_recurrence(state, recurrence, exc, counters, finish)
         finally:
             self._phase_spans = None
+            self._phase_envelopes = None
             self._recurrence_cache_log = None
         if self.reuse is not None:
             self._flush_pane_publishes(degraded)
@@ -1224,13 +1232,16 @@ class RedoopRuntime:
         ingest) the span parents to the run span directly.
         """
         parent: Span = self._run_span
+        end = max(finish, start)
         if self._phase_spans is not None and phase in self._phase_spans:
             parent = self._phase_spans[phase]
+            lo, hi = self._phase_envelopes.get(phase, (start, end))
+            self._phase_envelopes[phase] = (min(lo, start), max(hi, end))
         self.tracer.span(
             name,
             CAT_TASK,
             start,
-            max(finish, start),
+            end,
             parent=parent,
             node_id=node_id,
             **attrs,
@@ -1248,8 +1259,9 @@ class RedoopRuntime:
 
         Map and shuffle take the same boundaries ``PhaseTimes`` reports;
         pane-reduce and combine tighten to the envelope of their task
-        children (zero-length at their nominal boundary when the window
-        was fully served from cache and no task ran).
+        children, as ``_emit_task`` recorded it (zero-length at their
+        nominal boundary when the window was fully served from cache and
+        no task ran).
         """
         spans = self._phase_spans
         assert spans is not None
@@ -1263,8 +1275,7 @@ class RedoopRuntime:
             ("combine", shuffle_done),
         ):
             span = spans[name]
-            env = self.tracer.envelope(self.tracer.children(span))
-            lo, hi = env if env is not None else (fallback, fallback)
+            lo, hi = self._phase_envelopes.get(name, (fallback, fallback))
             span.start = lo
             self.tracer.end(span, max(hi, lo))
         spans["post"].start = finish
@@ -1887,17 +1898,6 @@ class RedoopRuntime:
             "data; was the pane processed?"
         )
 
-    def _finalize_merge(
-        self, query: RecurringQuery, partials: Sequence[List[KeyValue]]
-    ) -> List[KeyValue]:
-        """Pane-based merge: group partial outputs by key, finalize.
-
-        Kept as a convenience wrapper over the pure task body; the
-        combine phase batches :func:`execute_finalize` through the
-        execution backend directly.
-        """
-        return execute_finalize(query.finalize, list(partials))
-
     # ------------------------------------------------------------------
     # combine phase: multi-source join
     # ------------------------------------------------------------------
@@ -2111,11 +2111,21 @@ class RedoopRuntime:
     def _cache_size(
         self, pid: str, cache_type: int, partition: int
     ) -> Tuple[int, Optional[int]]:
-        cached = self._read_cache_verified(pid, cache_type, partition)
-        if cached is None:
+        """``(bytes, host)`` of a live cache, or ``(0, None)``, for Eq. 4.
+
+        Metadata only: no payload read, checksum or hit/miss count. Both
+        callers size this window's reduce-input caches, which
+        ``_pane_caches_intact`` verified (or the pane rewrote) earlier in
+        this recurrence; chaos strikes only between recurrences.
+        """
+        node_id = self.controller.placement(pid, cache_type, partition)
+        registry = self._registries.get(node_id)
+        size = None if registry is None else registry.touch(
+            pid, cache_type, partition
+        )
+        if size is None:
             return 0, None
-        _payload, nbytes, node_id = cached
-        return nbytes, node_id
+        return size, node_id
 
     # ------------------------------------------------------------------
     # cross-query reuse: seeding, window short-circuit, publication

@@ -346,7 +346,7 @@ class CacheAwareTaskScheduler:
                 request.input_bytes, bytes_local=local
             )
 
-        node = self._argmin_eq4(MAP_SLOT, now, io_cost)
+        node, load, c_task = self._argmin_eq4(now, io_cost)
         if node.node_id in locations:
             self._count("sched.map_local_selects")
         if self.tracer is not None:
@@ -358,8 +358,8 @@ class CacheAwareTaskScheduler:
                     task=request.task_id,
                     request=request,
                     node_id=node.node_id,
-                    load=node.load_at(now),
-                    c_task=io_cost(node),
+                    load=load,
+                    c_task=c_task,
                     time=now,
                 )
             )
@@ -377,7 +377,7 @@ class CacheAwareTaskScheduler:
                 request.input_bytes, bytes_local=local
             )
 
-        node = self._argmin_eq4(REDUCE_SLOT, now, io_cost)
+        node, load, c_task = self._argmin_eq4(now, io_cost)
         if cached.get(node.node_id, 0) > 0:
             self._count("sched.reduce_cache_local_selects")
         if self.tracer is not None:
@@ -389,8 +389,8 @@ class CacheAwareTaskScheduler:
                     task=request.task_id,
                     request=request,
                     node_id=node.node_id,
-                    load=node.load_at(now),
-                    c_task=io_cost(node),
+                    load=load,
+                    c_task=c_task,
                     rank=self._cache_rank(request),
                     time=now,
                 )
@@ -398,8 +398,13 @@ class CacheAwareTaskScheduler:
         return node
 
     def _argmin_eq4(
-        self, kind: str, now: float, io_cost: Callable[[TaskNode], float]
-    ) -> TaskNode:
+        self, now: float, io_cost: Callable[[TaskNode], float]
+    ) -> Tuple[TaskNode, float, float]:
+        """The Eq. 4 winner with the ``load`` and ``c_task`` it won on.
+
+        Each candidate's terms are evaluated once; ties go to the lower
+        node id.
+        """
         live = self.cluster.live_nodes()
         if not live:
             raise RuntimeError("no live nodes to schedule on")
@@ -411,11 +416,11 @@ class CacheAwareTaskScheduler:
         if not candidates:
             candidates = live
 
-        def objective(node: TaskNode) -> Tuple[float, int]:
-            load = node.load_at(now)
-            return (load + io_cost(node), node.node_id)
-
-        return min(candidates, key=objective)
+        terms = [(node.load_at(now), io_cost(node), node) for node in candidates]
+        load, c_task, node = min(
+            terms, key=lambda t: (t[0] + t[1], t[2].node_id)
+        )
+        return node, load, c_task
 
     # ------------------------------------------------------------------
     # helpers

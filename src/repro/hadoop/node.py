@@ -120,7 +120,9 @@ class TaskNode:
         """Pending busy seconds across all slots at time ``now`` (Eq. 4 term)."""
         self._ensure_alive()
         pending = 0.0
-        for free in self._map_slot_free + self._reduce_slot_free:
+        for free in self._map_slot_free:
+            pending += max(0.0, free - now)
+        for free in self._reduce_slot_free:
             pending += max(0.0, free - now)
         return pending
 

@@ -45,7 +45,9 @@ from .spec import QuerySpec, rebuild_queries
 __all__ = ["CheckpointError", "SCHEMA_VERSION", "save_checkpoint", "load_checkpoint"]
 
 MAGIC = b"#repro-service-checkpoint\n"
-SCHEMA_VERSION = 1
+#: Bumped when pickled state gains fields an older snapshot lacks, so
+#: restoring one fails here instead of mid-run (2: registry byte totals).
+SCHEMA_VERSION = 2
 
 
 class CheckpointError(Exception):

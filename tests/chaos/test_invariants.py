@@ -53,6 +53,19 @@ class TestDriftDetection:
             "file is gone" in v for v in violations
         )
 
+    def test_cached_bytes_drift_flagged(self, warm_runtime):
+        # A backing file deleted behind the registry's back: the running
+        # total still counts it, the files no longer hold it.
+        registry = warm_runtime.registries()[1]
+        entry = registry.live_entries()[0]
+        registry.node.delete_local(entry.local_name)
+        violations = check_invariants(warm_runtime)
+        assert any(
+            f"node 1 registry counts {registry.cached_bytes} cached bytes "
+            f"but its files hold {registry.cached_bytes - entry.size}" in v
+            for v in violations
+        )
+
     def test_leftover_map_task_flagged(self, warm_runtime):
         warm_runtime.scheduler.enqueue_map(
             MapTaskRequest(

@@ -115,6 +115,21 @@ class TestExpirationFlow:
         for n in notifications:
             assert n.node_ids  # addressed to the hosting nodes
 
+    @pytest.mark.parametrize("first", [REDUCE_INPUT, REDUCE_OUTPUT])
+    def test_notice_addresses_first_created_signature(self, controller, first):
+        # A pane's two cache types expire together on different nodes;
+        # the deduplicated notice keeps the node list of whichever
+        # signature exists longest (a re-created one moves behind).
+        second = REDUCE_OUTPUT if first == REDUCE_INPUT else REDUCE_INPUT
+        controller.register_query("q1", binary_join_specs())
+        controller.cache_created("S1P0", second, 0, node_id=9)
+        controller.cache_lost("S1P0", second, 0)
+        controller.cache_created("S1P0", first, 0, node_id=4)
+        controller.cache_created("S1P0", second, 0, node_id=9)
+        self._complete_window1(controller)
+        notifications = controller.advance_window("q1", recurrence=2)
+        assert [n.node_ids for n in notifications if n.pid == "S1P0"] == [(4,)]
+
     def test_no_notification_while_pane_live(self, controller):
         controller.register_query("q1", binary_join_specs())
         controller.cache_created("S1P2", REDUCE_INPUT, 0, node_id=1)

@@ -217,3 +217,116 @@ class TestFailureBookkeeping:
         entry = registry.add_entry("S1P1", REDUCE_INPUT, 0, 10, None)
         node.delete_local(entry.local_name)
         assert not registry.has("S1P1", REDUCE_INPUT, 0)
+
+
+class _CountingNode(TaskNode):
+    """A node that counts ``has_local`` probes, the registry's unit of work."""
+
+    has_local_calls = 0
+
+    def has_local(self, name: str) -> bool:
+        self.has_local_calls += 1
+        return super().has_local(name)
+
+
+class TestByteAccounting:
+    """``cached_bytes`` is a running total; it must stay exact and O(1)."""
+
+    @staticmethod
+    def backed_sum(registry) -> int:
+        return sum(
+            e.size
+            for e in registry.entries()
+            if registry.node.has_local(e.local_name)
+        )
+
+    def test_exact_through_every_update(self, registry):
+        def check(expected, peak):
+            assert registry.cached_bytes == expected == self.backed_sum(registry)
+            assert registry.peak_cached_bytes == peak
+
+        registry.add_entry("a", REDUCE_INPUT, 0, 10, None)
+        registry.add_entry("b", REDUCE_OUTPUT, 0, 32, None)
+        check(42, 42)
+        registry.add_entry("a", REDUCE_INPUT, 0, 4, None)  # overwrite
+        check(36, 42)
+        registry.drop_lost("b", REDUCE_OUTPUT, 0)
+        registry.drop_lost("b", REDUCE_OUTPUT, 0)  # already gone: no change
+        check(4, 42)
+        registry.add_entry("c", REDUCE_INPUT, 1, 50, None)
+        registry.mark_expired(["c"])
+        check(54, 54)  # expired entries count until the sweep
+        assert [e.pid for e in registry.on_demand_purge()] == ["c"]
+        check(4, 54)
+        registry.forget_all()
+        check(0, 54)
+
+    def test_dead_node_holds_nothing(self, registry, node):
+        registry.add_entry("a", REDUCE_INPUT, 0, 10, None)
+        node.fail()
+        assert registry.cached_bytes == 0
+        registry.forget_all()  # what RecoveryManager.fail_node does
+        node.recover()
+        assert registry.cached_bytes == 0
+        registry.add_entry("a", REDUCE_INPUT, 0, 7, None)
+        assert registry.cached_bytes == 7
+
+    def test_add_entry_cost_independent_of_registry_size(self):
+        def probes_for_one_add(existing: int) -> int:
+            node = _CountingNode(0, map_slots=1, reduce_slots=1)
+            registry = LocalCacheRegistry(node)
+            for i in range(existing):
+                registry.add_entry(f"p{i}", REDUCE_INPUT, 0, 1, None)
+            node.has_local_calls = 0
+            registry.add_entry("new", REDUCE_INPUT, 0, 1, None)
+            assert registry.cached_bytes == existing + 1
+            return node.has_local_calls
+
+        assert probes_for_one_add(1000) == probes_for_one_add(10)
+
+    def test_touch_sizes_without_reading_and_counts_as_a_use(self, registry):
+        registry.add_entry("a", REDUCE_INPUT, 0, 10, ["x"])
+        registry.add_entry("b", REDUCE_INPUT, 0, 0, [])
+        before = registry.entries()[0].last_used
+        assert registry.touch("a", REDUCE_INPUT, 0) == 10
+        assert registry.entries()[0].last_used > before
+        assert registry.touch("b", REDUCE_INPUT, 0) == 0  # empty, yet live
+        assert registry.touch("a", REDUCE_OUTPUT, 0) is None
+        registry.mark_expired(["a"])
+        assert registry.touch("a", REDUCE_INPUT, 0) is None
+
+
+class TestPurgeBatching:
+    def test_one_mark_expired_call_per_node(self, monkeypatch):
+        from repro.core.cache_controller import PurgeNotification
+
+        from .test_runtime import make_runtime
+
+        runtime = make_runtime()
+        for node_id in (0, 1):
+            registry = runtime._registry(node_id)
+            for pid in ("a", "b", "c"):
+                registry.add_entry(pid, REDUCE_INPUT, node_id, 1, None)
+        calls = []
+        original = LocalCacheRegistry.mark_expired
+
+        def spy(self, pids):
+            pids = list(pids)
+            calls.append((self.node.node_id, sorted(pids)))
+            return original(self, pids)
+
+        monkeypatch.setattr(LocalCacheRegistry, "mark_expired", spy)
+        runtime._apply_purge_notifications(
+            [
+                PurgeNotification("a", (0, 1)),
+                PurgeNotification("b", (0, 1)),
+                PurgeNotification("c", (1, 3)),  # node 3 holds no registry
+            ]
+        )
+        assert sorted(calls) == [(0, ["a", "b"]), (1, ["a", "b", "c"])]
+        live = {
+            (node_id, e.pid)
+            for node_id, r in runtime.registries().items()
+            for e in r.live_entries()
+        }
+        assert live == {(0, "c")}

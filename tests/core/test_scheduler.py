@@ -287,3 +287,85 @@ class TestDecisionLog:
         assert counters.get("sched.reduce_dispatched") == 2
         assert counters.get("sched.reduce_rank0_dispatched") == 1
         assert counters.get("sched.reduce_rank2_dispatched") == 1
+
+
+class TestEq4DecisionRecord:
+    """The recorded ``load``/``c_task`` are the terms the winner won on."""
+
+    @pytest.fixture
+    def loaded(self, cluster):
+        # Uneven pending work, so load and locality pull different ways.
+        for node_id, seconds in ((0, 3.0), (1, 0.5), (2, 7.25)):
+            cluster.node(node_id).occupy_slot(MAP_SLOT, 0.0, seconds)
+            cluster.node(node_id).occupy_slot(REDUCE_SLOT, 0.0, seconds / 2)
+        return cluster
+
+    @staticmethod
+    def traced(cluster):
+        from repro.trace import Tracer
+
+        tracer = Tracer()
+        return CacheAwareTaskScheduler(cluster, tracer=tracer), tracer
+
+    def test_map_select_records_winner_terms(self, loaded):
+        from repro.hadoop.timeline import decisions
+
+        scheduler, tracer = self.traced(loaded)
+        request = map_request(nbytes=64 * MEGABYTE, locations=[2])
+        node = scheduler.select_map_node(request, now=1.0)
+
+        def io_cost(n):
+            local = request.input_bytes if n.node_id == 2 else 0
+            return loaded.cost_model.task_io_cost(
+                request.input_bytes, bytes_local=local
+            )
+
+        expected = min(
+            loaded.live_nodes(),
+            key=lambda n: (n.load_at(1.0) + io_cost(n), n.node_id),
+        )
+        [select] = decisions(tracer, event="select", kind=MAP_SLOT)
+        assert node is expected and select.node_id == node.node_id
+        assert select.load == node.load_at(1.0)
+        assert select.c_task == io_cost(node)
+
+    def test_reduce_select_records_winner_terms(self, loaded):
+        from repro.hadoop.timeline import decisions
+
+        scheduler, tracer = self.traced(loaded)
+        request = reduce_request(
+            nbytes=16 * MEGABYTE, cached=[(2, 12 * MEGABYTE), (1, 4 * MEGABYTE)]
+        )
+        node = scheduler.select_reduce_node(request, now=1.0)
+        cached = dict(request.cached_bytes_by_node)
+
+        def io_cost(n):
+            return loaded.cost_model.task_io_cost(
+                request.input_bytes,
+                bytes_local=min(cached.get(n.node_id, 0), request.input_bytes),
+            )
+
+        expected = min(
+            loaded.live_nodes(),
+            key=lambda n: (n.load_at(1.0) + io_cost(n), n.node_id),
+        )
+        [select] = decisions(tracer, event="select", kind=REDUCE_SLOT)
+        assert node is expected and select.node_id == node.node_id
+        assert select.load == node.load_at(1.0)
+        assert select.c_task == io_cost(node)
+
+    def test_load_evaluated_once_per_candidate(self, loaded, monkeypatch):
+        from repro.hadoop.node import TaskNode
+
+        calls = []
+        original = TaskNode.load_at
+
+        def spy(self, now):
+            calls.append(self.node_id)
+            return original(self, now)
+
+        monkeypatch.setattr(TaskNode, "load_at", spy)
+        scheduler, _tracer = self.traced(loaded)
+        scheduler.select_map_node(map_request(locations=[2]), now=1.0)
+        scheduler.select_reduce_node(reduce_request(cached=[(1, 10)]), now=1.0)
+        assert sorted(calls) == sorted(2 * loaded.live_node_ids())

@@ -80,6 +80,15 @@ class TestSpanTree:
         assert tasks
         assert all(t.parent_id in phase_ids for t in tasks)
 
+    def test_phase_spans_envelope_their_tasks(self, tracer):
+        checked = 0
+        for phase in tracer.spans(category=CAT_PHASE):
+            env = tracer.envelope(tracer.children(phase))
+            if phase.name in ("pane-reduce", "combine") and env is not None:
+                assert (phase.start, phase.end) == env
+                checked += 1
+        assert checked
+
     def test_task_names_follow_the_scheme(self, tracer):
         prefixes = ("map/", "shuffle/", "pane-reduce/", "merge/", "join/")
         for task in tracer.spans(category=CAT_TASK):
