@@ -123,7 +123,7 @@ class WindowAwareCacheController:
         )
         self._queries[name] = info
         for signature in self._signatures.values():
-            signature.done_query_mask[name] = not self._query_uses_pid(
+            signature.done_query_mask[name] = self._done_with(
                 info, signature.pid
             )
         return info.matrix
@@ -140,7 +140,7 @@ class WindowAwareCacheController:
                 notifications.append(
                     PurgeNotification(signature.pid, tuple(sorted(signature.nodes)))
                 )
-        return self._dedupe(notifications)
+        return self._merge(notifications)
 
     def queries(self) -> List[str]:
         return sorted(self._queries)
@@ -191,9 +191,7 @@ class WindowAwareCacheController:
         if signature is None:
             signature = CacheSignature(pid=pid, cache_type=cache_type)
             for name, info in self._queries.items():
-                signature.done_query_mask[name] = not self._query_uses_pid(
-                    info, pid
-                )
+                signature.done_query_mask[name] = self._done_with(info, pid)
             self._signatures[key] = signature
         signature.placements[partition] = node_id
         self._set_ready(pid, CACHE_AVAILABLE)
@@ -240,7 +238,7 @@ class WindowAwareCacheController:
                 return 0
         total = 0
         for info in self._queries.values():
-            if not self._query_uses_pid(info, pid):
+            if self._done_with(info, pid):
                 continue
             if len(panes) == 1:
                 total += info.matrix.remaining_uses(
@@ -283,11 +281,14 @@ class WindowAwareCacheController:
         for (pid, _type), signature in list(self._signatures.items()):
             if "x" in pid and any(part in expired_pids for part in pid.split("x")):
                 notifications.extend(self._mark_query_done(query, pid))
-        return self._dedupe(notifications)
+        return self._merge(notifications)
 
     def _mark_query_done(self, query: str, pid: str) -> List[PurgeNotification]:
         notifications: List[PurgeNotification] = []
-        for signature in self._pid_signatures(pid):
+        for t in _CACHE_TYPES:
+            signature = self._signatures.get((pid, t))
+            if signature is None:
+                continue
             signature.done_query_mask[query] = True
             if signature.all_done():
                 notifications.append(
@@ -337,24 +338,6 @@ class WindowAwareCacheController:
     def _has_any_cache(self, pid: str) -> bool:
         return any((pid, t) in self._signatures for t in _CACHE_TYPES)
 
-    def _pid_signatures(self, pid: str) -> List[CacheSignature]:
-        """``pid``'s signatures in creation order, by direct lookup.
-
-        The order decides which node list :meth:`_dedupe` keeps when both
-        types expire together, so only when their nodes differ does a
-        scan find which came first (a loss and rebuild reorders them).
-        """
-        found = [
-            sig
-            for t in _CACHE_TYPES
-            if (sig := self._signatures.get((pid, t))) is not None
-        ]
-        if len(found) == 2 and found[0].nodes != found[1].nodes:
-            first = next(key for key in self._signatures if key[0] == pid)
-            if first[1] != found[0].cache_type:
-                found.reverse()
-        return found
-
     def _info(self, query: str) -> _QueryInfo:
         try:
             return self._queries[query]
@@ -362,26 +345,34 @@ class WindowAwareCacheController:
             raise ValueError(f"query {query!r} is not registered") from None
 
     @staticmethod
-    def _query_uses_pid(info: _QueryInfo, pid: str) -> bool:
-        """Does the query read the source(s) this cache belongs to?"""
+    def _done_with(info: _QueryInfo, pid: str) -> bool:
+        """Is the query already done with this cache, before any reduce?
+
+        It is when it does not read the cache's source(s) (the paper
+        presets those bits, Sec. 4.2) or its matrix already shifted past
+        one of the cache's panes (a cache rebuilt after that shift).
+        """
         parts = pid.split("x") if "x" in pid else [pid]
+        shifted_past = False
         for part in parts:
             try:
                 pane = parse_pane_name(part)
             except ValueError:
-                return False
+                return True
             if pane.source not in info.specs:
-                return False
-        return True
+                return True
+            shifted_past |= pane.index < info.matrix.base(pane.source)
+        return shifted_past
 
     @staticmethod
-    def _dedupe(
+    def _merge(
         notifications: List[PurgeNotification],
     ) -> List[PurgeNotification]:
-        seen: Set[str] = set()
-        unique: List[PurgeNotification] = []
+        """One notice per pid, addressed to every node that hosts it."""
+        nodes: Dict[str, Set[int]] = {}
         for n in notifications:
-            if n.pid not in seen:
-                seen.add(n.pid)
-                unique.append(n)
-        return unique
+            nodes.setdefault(n.pid, set()).update(n.node_ids)
+        return [
+            PurgeNotification(pid, tuple(sorted(ids)))
+            for pid, ids in nodes.items()
+        ]

@@ -209,15 +209,16 @@ class LocalCacheRegistry:
         Raises
         ------
         KeyError
-            If the entry does not exist or has expired.
+            If the entry does not exist, has expired, or lost its file.
         """
-        if not self.has(pid, cache_type, partition):
+        entry = self._entries.get((pid, cache_type, partition))
+        name = None if entry is None or entry.expiration else entry.local_name
+        if name is None or not self.node.has_local(name):
             raise KeyError(
                 f"no live cache for pid={pid!r} type={cache_type} "
                 f"partition={partition} on node {self.node.node_id}"
             )
-        entry = self._entries[(pid, cache_type, partition)]
-        lf = self.node.read_local(entry.local_name)
+        lf = self.node.read_local(name)
         if (
             entry.checksum is not None
             and payload_checksum(lf.payload) != entry.checksum

@@ -2743,15 +2743,15 @@ class RedoopRuntime:
         from HDFS) see a consistent world.
         """
         node_id = self.controller.placement(pid, cache_type, partition)
-        if node_id is None:
-            self.counters.increment("cache.misses")
-            return None
-        registry = self._registries.get(node_id)
-        if registry is None or not registry.has(pid, cache_type, partition):
+        registry = None if node_id is None else self._registries.get(node_id)
+        if registry is None:
             self.counters.increment("cache.misses")
             return None
         try:
             payload, nbytes = registry.read(pid, cache_type, partition)
+        except KeyError:
+            self.counters.increment("cache.misses")
+            return None
         except CacheCorruptionError:
             self.counters.increment("cache.corruptions_detected")
             self.counters.increment("cache.misses")

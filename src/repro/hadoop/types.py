@@ -60,6 +60,11 @@ class Record:
         """Return ``True`` when ``start <= ts < end`` (half-open range)."""
         return start <= self.ts < end
 
+    def __reduce__(self):
+        # Pickle through the constructor: the ``__getstate__`` dataclasses
+        # generates for frozen slotted classes calls ``fields()`` per record.
+        return Record, (self.ts, self.value, self.size)
+
 
 def records_size(records: Iterable[Record]) -> int:
     """Total serialised size in bytes of ``records``."""

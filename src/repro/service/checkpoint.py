@@ -14,12 +14,17 @@ Two problems shape the format:
 **Code does not pickle.** Queries and jobs carry user map/reduce/
 finalize closures. The snapshot therefore stores the durable
 :class:`~repro.service.spec.QuerySpec`s (factory path + kwargs) as a
-*separate leading pickle*, and the main object graph replaces every
-``RecurringQuery`` / ``MapReduceJob`` with a persistent id (``("query",
-name)`` / ``("job", name)``). Restore unpickles the specs first,
+*separate leading pickle*, and the main object graph pickles every
+``RecurringQuery`` / ``MapReduceJob`` as a named reference: a reduce
+tuple ``(_external, ("query", name))`` / ``(_external, ("job", name))``
+returned by the pickler's ``reducer_override``. The C pickler calls that
+hook once per class instance, never for ints, strings or containers, so
+the graph pickles at C speed. Restore unpickles the specs first,
 rebuilds the queries by calling their factories (canonicalising shared
-jobs by name), and then resolves the graph's persistent ids against the
-rebuilt objects — state from the checkpoint, code from the factories.
+jobs by name), and then ``find_class`` hands the graph's references a
+resolver over the rebuilt objects — state from the checkpoint, code from
+the factories. The graph unpickles with the garbage collector paused:
+every object it creates survives, so collector passes would free nothing.
 
 **Corrupt checkpoints must fail loud and early.** The file is framed as
 a magic line, a JSON header carrying ``schema_version``,
@@ -31,13 +36,14 @@ traceback from the middle of a stream.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import io
 import json
 import os
 import pickle
 from pathlib import Path
-from typing import Any, Callable, Dict, Mapping, Tuple
+from typing import Any, Callable, Dict, Mapping
 
 from ..core.query import RecurringQuery
 from .spec import QuerySpec, rebuild_queries
@@ -45,9 +51,11 @@ from .spec import QuerySpec, rebuild_queries
 __all__ = ["CheckpointError", "SCHEMA_VERSION", "save_checkpoint", "load_checkpoint"]
 
 MAGIC = b"#repro-service-checkpoint\n"
-#: Bumped when pickled state gains fields an older snapshot lacks, so
-#: restoring one fails here instead of mid-run (2: registry byte totals).
-SCHEMA_VERSION = 2
+#: Bumped when pickled state gains fields an older snapshot lacks, or
+#: its encoding changes, so restoring one fails here instead of mid-run
+#: (2: registry byte totals; 3: queries/jobs as reduce tuples, not
+#: persistent ids).
+SCHEMA_VERSION = 3
 
 
 class CheckpointError(Exception):
@@ -58,26 +66,35 @@ class CheckpointError(Exception):
     """
 
 
+def _external(kind: str, name: str) -> Any:
+    """Stand-in for a query/job reference in a pickled graph.
+
+    Only :func:`load_checkpoint` can resolve one, because only it has
+    rebuilt the queries; its unpickler swaps in the resolver for this
+    function, so reaching here means some other code loaded the graph.
+    """
+    raise CheckpointError(
+        f"the {kind} reference {name!r} resolves only inside load_checkpoint"
+    )
+
+
 class _GraphPickler(pickle.Pickler):
     """Pickles the server graph, externalising query/job objects."""
 
     def __init__(self, buf: io.BytesIO, queries: Mapping[str, RecurringQuery]):
         super().__init__(buf, protocol=pickle.HIGHEST_PROTOCOL)
-        self._queries = {id(q): name for name, q in queries.items()}
-        self._jobs = {id(q.job): q.job.name for q in queries.values()}
+        self._refs = {id(q): ("query", name) for name, q in queries.items()}
+        self._refs.update({id(q.job): ("job", q.job.name) for q in queries.values()})
 
-    def persistent_id(self, obj: Any):
-        ref = self._queries.get(id(obj))
-        if ref is not None:
-            return ("query", ref)
-        ref = self._jobs.get(id(obj))
-        if ref is not None:
-            return ("job", ref)
-        return None
+    def reducer_override(self, obj: Any):
+        ref = self._refs.get(id(obj))
+        if ref is None:
+            return NotImplemented
+        return _external, ref
 
 
 class _GraphUnpickler(pickle.Unpickler):
-    """Resolves persistent ids against factory-rebuilt queries/jobs."""
+    """Resolves query/job references against factory-rebuilt objects."""
 
     def __init__(
         self,
@@ -89,8 +106,12 @@ class _GraphUnpickler(pickle.Unpickler):
         self._queries = queries
         self._jobs = jobs
 
-    def persistent_load(self, pid: Tuple[str, str]) -> Any:
-        kind, name = pid
+    def find_class(self, module: str, name: str) -> Any:
+        if module == __name__ and name == _external.__name__:
+            return self._resolve
+        return super().find_class(module, name)
+
+    def _resolve(self, kind: str, name: str) -> Any:
         table = self._queries if kind == "query" else self._jobs
         try:
             return table[name]
@@ -189,9 +210,10 @@ def load_checkpoint(
     """Restore the object graph a checkpoint holds.
 
     Validates framing, version, and digest; rebuilds queries from the
-    spec section via their factories; resolves the graph's persistent
-    references; returns the graph root. ``validate`` (if given) runs
-    on ``(specs, graph)`` before returning.
+    spec section via their factories; unpickles the graph with the
+    collector paused, resolving its query/job references against the
+    rebuilt objects; returns the graph root. ``validate`` (if given)
+    runs on ``(specs, graph)`` before returning.
     """
     payload = _read_validated_payload(Path(path))
     buf = io.BytesIO(payload)
@@ -208,6 +230,8 @@ def load_checkpoint(
             f"{path}: spec section is not a mapping of QuerySpec objects"
         )
     queries, jobs = rebuild_queries(specs)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         graph = _GraphUnpickler(buf, queries, jobs).load()
     except CheckpointError:
@@ -217,6 +241,9 @@ def load_checkpoint(
             f"{path}: the state section does not unpickle ({exc}); the "
             "checkpoint may come from an incompatible build"
         ) from exc
+    finally:
+        if collecting:
+            gc.enable()
     if validate is not None:
         validate(specs, graph)
     return graph

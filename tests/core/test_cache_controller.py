@@ -116,10 +116,10 @@ class TestExpirationFlow:
             assert n.node_ids  # addressed to the hosting nodes
 
     @pytest.mark.parametrize("first", [REDUCE_INPUT, REDUCE_OUTPUT])
-    def test_notice_addresses_first_created_signature(self, controller, first):
+    def test_notice_addresses_every_hosting_node(self, controller, first):
         # A pane's two cache types expire together on different nodes;
-        # the deduplicated notice keeps the node list of whichever
-        # signature exists longest (a re-created one moves behind).
+        # the one notice for the pid reaches both, whichever signature
+        # was created first (a re-created one moves behind).
         second = REDUCE_OUTPUT if first == REDUCE_INPUT else REDUCE_INPUT
         controller.register_query("q1", binary_join_specs())
         controller.cache_created("S1P0", second, 0, node_id=9)
@@ -128,7 +128,7 @@ class TestExpirationFlow:
         controller.cache_created("S1P0", second, 0, node_id=9)
         self._complete_window1(controller)
         notifications = controller.advance_window("q1", recurrence=2)
-        assert [n.node_ids for n in notifications if n.pid == "S1P0"] == [(4,)]
+        assert [n.node_ids for n in notifications if n.pid == "S1P0"] == [(4, 9)]
 
     def test_no_notification_while_pane_live(self, controller):
         controller.register_query("q1", binary_join_specs())
@@ -159,6 +159,25 @@ class TestExpirationFlow:
                 controller.record_reduce_done("q2", {"S1": i, "S2": j})
         notifications = controller.advance_window("q2", recurrence=2)
         assert "S1P0" in {n.pid for n in notifications}
+
+    def test_rebuilt_cache_is_done_for_queries_past_its_pane(self, controller):
+        # q1 shifts past S1P0, then the pane's cache is lost and rebuilt:
+        # the new signature must not wait for q1 to finish with it again.
+        specs = binary_join_specs()
+        controller.register_query("q1", specs)
+        controller.register_query("q2", specs)
+        controller.cache_created("S1P0", REDUCE_INPUT, 0, node_id=1)
+        self._complete_window1(controller)
+        controller.advance_window("q1", recurrence=2)
+        controller.cache_lost("S1P0", REDUCE_INPUT, 0)
+        controller.cache_created("S1P0", REDUCE_INPUT, 0, node_id=1)
+        for i in range(3):
+            for j in range(3):
+                controller.record_reduce_done("q2", {"S1": i, "S2": j})
+        notifications = controller.advance_window("q2", recurrence=2)
+        assert "S1P0" in {n.pid for n in notifications}
+        mask = controller.signature("S1P0", REDUCE_INPUT).done_query_mask
+        assert mask == {"q1": True, "q2": True}
 
     def test_unregister_releases_caches(self, controller):
         specs = binary_join_specs()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -39,6 +41,15 @@ class TestRecord:
 
     def test_in_range_outside(self):
         assert not Record(ts=5.0, value=None).in_range(10.0, 20.0)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        r = Record(ts=2.5, value=("k", 3), size=64)
+        back = pickle.loads(pickle.dumps(r, protocol=protocol))
+        assert back == r
+        assert hash(back) == hash(r)
+        with pytest.raises(AttributeError):
+            back.ts = 1.0
 
 
 class TestRecordsHelpers:

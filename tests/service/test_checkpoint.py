@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import gc
+import hashlib
 import json
+import pickle
+import sys
 
 import pytest
 
@@ -15,7 +19,7 @@ from repro.service import (
     resolve_factory,
     save_checkpoint,
 )
-from repro.service.checkpoint import MAGIC, SCHEMA_VERSION
+from repro.service.checkpoint import MAGIC, SCHEMA_VERSION, _external
 
 FACTORY = "tests.service.factories:wordcount_query"
 
@@ -158,6 +162,103 @@ class TestValidation:
                 queries={"q1": query},
                 graph={"bad": lambda: None},  # a stray closure
             )
+
+
+    def test_reference_to_unknown_query_rejected(self, tmp_path):
+        # The state section names a query the spec section never built.
+        query = build_query(make_spec())
+        path = save_checkpoint(
+            tmp_path / "ck.bin",
+            specs={},
+            queries={"q1": query},
+            graph={"q": query},
+        )
+        with pytest.raises(CheckpointError, match="internally inconsistent"):
+            load_checkpoint(path)
+
+    def test_reference_resolves_only_inside_a_restore(self):
+        with pytest.raises(CheckpointError, match="only inside load_checkpoint"):
+            _external("query", "q1")
+
+
+class _GcProbe:
+    """Notes whether the collector was running when it was unpickled."""
+
+    def __init__(self):
+        self.collecting = None
+
+    def __setstate__(self, state):
+        self.__dict__.update(state, collecting=gc.isenabled())
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collecting(request):
+    """Run the test with the collector on or off, restoring it after."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+def _write_with_state(path, state: bytes):
+    """Frame an empty spec section plus ``state`` as a valid checkpoint."""
+    payload = pickle.dumps({}) + state
+    header = {
+        "schema_version": SCHEMA_VERSION,
+        "payload_bytes": len(payload),
+        "sha256": hashlib.sha256(payload).hexdigest(),
+    }
+    path.write_bytes(
+        MAGIC + json.dumps(header, sort_keys=True).encode() + b"\n" + payload
+    )
+    return path
+
+
+class TestSaveAndLoadCost:
+    @staticmethod
+    def _python_calls_to_save(path, rows: int) -> int:
+        spec = make_spec()
+        query = build_query(spec)
+        graph = {"q": query, "rows": [(i, str(i), float(i)) for i in range(rows)]}
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event == "call"
+
+        sys.setprofile(count)
+        try:
+            save_checkpoint(path, specs={"q1": spec}, queries={"q1": query}, graph=graph)
+        finally:
+            sys.setprofile(None)
+        return calls
+
+    def test_save_makes_no_python_call_per_plain_object(self, tmp_path):
+        # Ints, strings, floats and tuples must pickle in C: the Python
+        # calls a save makes do not grow with how many of them it holds.
+        self._python_calls_to_save(tmp_path / "warm.bin", 10)
+        small = self._python_calls_to_save(tmp_path / "small.bin", 100)
+        large = self._python_calls_to_save(tmp_path / "large.bin", 1000)
+        assert abs(large - small) <= 5, (small, large)
+
+    def test_load_pauses_and_restores_the_collector(self, tmp_path, collecting):
+        spec = make_spec()
+        query = build_query(spec)
+        path = save_checkpoint(
+            tmp_path / "ck.bin",
+            specs={"q1": spec},
+            queries={"q1": query},
+            graph={"q": query, "probe": _GcProbe()},
+        )
+        restored = load_checkpoint(path)
+        assert gc.isenabled() is collecting
+        assert restored["probe"].collecting is False
+
+    def test_failed_load_restores_the_collector(self, tmp_path, collecting):
+        path = _write_with_state(tmp_path / "ck.bin", pickle.dumps([1, 2, 3])[:-3])
+        with pytest.raises(CheckpointError, match="state section does not unpickle"):
+            load_checkpoint(path)
+        assert gc.isenabled() is collecting
 
 
 class TestFaultStateRoundTrip:
