@@ -49,6 +49,7 @@ from .panes import (
     pane_file_name,
     pane_name,
     parse_pane_name,
+    split_pid,
 )
 from .profiler import ExecutionProfiler, Observation
 from .query import RecurringQuery, concat_finalizer, merging_finalizer
@@ -107,4 +108,5 @@ __all__ = [
     "pane_name",
     "parse_pane_name",
     "payload_checksum",
+    "split_pid",
 ]

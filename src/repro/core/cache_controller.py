@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from .cache_registry import REDUCE_INPUT, REDUCE_OUTPUT
-from .panes import WindowSpec, pane_name, parse_pane_name
+from .panes import WindowSpec, pane_name, parse_pane_name, split_pid
 from .status_matrix import CacheStatusMatrix
 
 __all__ = [
@@ -229,9 +229,8 @@ class WindowAwareCacheController:
         The window-aware eviction policy ranks victims by
         ``bytes x remaining_uses`` (:mod:`repro.core.eviction`).
         """
-        parts = pid.split("x") if "x" in pid else [pid]
         panes = []
-        for part in parts:
+        for part in split_pid(pid):
             try:
                 panes.append(parse_pane_name(part))
             except ValueError:
@@ -278,8 +277,14 @@ class WindowAwareCacheController:
             for src, indices in purged.items()
             for idx in indices
         }
-        for (pid, _type), signature in list(self._signatures.items()):
-            if "x" in pid and any(part in expired_pids for part in pid.split("x")):
+        for pid, _type in list(self._signatures):
+            # Only pids holding an "x" can name several panes, and a part
+            # equal to an expired pid is also a substring of the pid:
+            # both tests are far cheaper than splitting every pid.
+            if "x" not in pid or not any(e in pid for e in expired_pids):
+                continue
+            parts = split_pid(pid)
+            if len(parts) > 1 and any(part in expired_pids for part in parts):
                 notifications.extend(self._mark_query_done(query, pid))
         return self._merge(notifications)
 
@@ -352,9 +357,8 @@ class WindowAwareCacheController:
         presets those bits, Sec. 4.2) or its matrix already shifted past
         one of the cache's panes (a cache rebuilt after that shift).
         """
-        parts = pid.split("x") if "x" in pid else [pid]
         shifted_past = False
-        for part in parts:
+        for part in split_pid(pid):
             try:
                 pane = parse_pane_name(part)
             except ValueError:

@@ -22,7 +22,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from ..hadoop.node import TaskNode
+from ..hadoop.node import LocalFile, TaskNode
 
 __all__ = [
     "REDUCE_INPUT",
@@ -78,6 +78,9 @@ class CacheEntry:
     cache_type: int
     partition: int
     size: int
+    #: The entry's file name on the node's local file system
+    #: (:func:`cache_file_name`), set once when the entry is created.
+    local_name: str
     expiration: bool = False
     #: Content digest recorded at write time; ``None`` on legacy entries.
     checksum: Optional[str] = None
@@ -86,11 +89,6 @@ class CacheEntry:
     #: operations can share one clock instant, and LRU victim order
     #: must stay deterministic regardless.
     last_used: int = 0
-
-    @property
-    def local_name(self) -> str:
-        """The entry's file name on the node's local file system."""
-        return cache_file_name(self.pid, self.cache_type, self.partition)
 
 
 def cache_file_name(pid: str, cache_type: int, partition: int) -> str:
@@ -177,15 +175,17 @@ class LocalCacheRegistry:
             raise ValueError(f"unknown cache type {cache_type!r}")
         if partition < 0:
             raise ValueError("partition indices are non-negative")
+        name = cache_file_name(pid, cache_type, partition)
         entry = CacheEntry(
             pid=pid,
             cache_type=cache_type,
             partition=partition,
             size=size,
+            local_name=name,
             checksum=payload_checksum(payload),
             last_used=self._next_use(),
         )
-        self.node.store_local(entry.local_name, size, payload, created_at=now)
+        self.node.store_local(name, size, payload, created_at=now)
         old = self._entries.get((pid, cache_type, partition))
         self._bytes += size - (0 if old is None else old.size)
         self._entries[(pid, cache_type, partition)] = entry
@@ -196,12 +196,21 @@ class LocalCacheRegistry:
     # lookup
     # ------------------------------------------------------------------
 
+    def _live(
+        self, pid: str, cache_type: int, partition: int
+    ) -> Optional[CacheEntry]:
+        """The unexpired entry whose file is still on disk, or ``None``."""
+        entry = self._entries.get((pid, cache_type, partition))
+        if (
+            entry is None
+            or entry.expiration
+            or not self.node.has_local(entry.local_name)
+        ):
+            return None
+        return entry
+
     def has(self, pid: str, cache_type: int, partition: int) -> bool:
-        key = (pid, cache_type, partition)
-        entry = self._entries.get(key)
-        if entry is None or entry.expiration:
-            return False
-        return self.node.has_local(entry.local_name)
+        return self._live(pid, cache_type, partition) is not None
 
     def read(self, pid: str, cache_type: int, partition: int) -> Tuple[Any, int]:
         """Return ``(payload, size)`` of a live cache entry.
@@ -211,14 +220,13 @@ class LocalCacheRegistry:
         KeyError
             If the entry does not exist, has expired, or lost its file.
         """
-        entry = self._entries.get((pid, cache_type, partition))
-        name = None if entry is None or entry.expiration else entry.local_name
-        if name is None or not self.node.has_local(name):
+        entry = self._live(pid, cache_type, partition)
+        if entry is None:
             raise KeyError(
                 f"no live cache for pid={pid!r} type={cache_type} "
                 f"partition={partition} on node {self.node.node_id}"
             )
-        lf = self.node.read_local(name)
+        lf = self.node.read_local(entry.local_name)
         if (
             entry.checksum is not None
             and payload_checksum(lf.payload) != entry.checksum
@@ -236,27 +244,50 @@ class LocalCacheRegistry:
         The use clock advances as a read's would, so eviction order is
         the same whichever of the two sized the entry.
         """
-        if not self.has(pid, cache_type, partition):
+        entry = self._live(pid, cache_type, partition)
+        if entry is None:
             return None
-        entry = self._entries[(pid, cache_type, partition)]
         entry.last_used = self._next_use()
         return entry.size
 
-    def verify(self, pid: str, cache_type: int, partition: int) -> bool:
-        """``True`` iff the entry is live *and* its content checks out.
+    def verify(
+        self, pid: str, cache_type: int, partition: int
+    ) -> Optional[LocalFile]:
+        """The entry's file iff the entry is live *and* its content checks out.
 
         Non-raising companion to :meth:`read` for pre-window integrity
         probes (``_pane_caches_intact``): a corrupt entry simply reads
-        as absent so planning falls back to re-execution.
+        as absent (``None``) so planning falls back to re-execution.
+        The probe keeps the verified payload, so the rest of its
+        recurrence uses it without hashing it again.
         """
-        if not self.has(pid, cache_type, partition):
-            return False
-        entry = self._entries[(pid, cache_type, partition)]
+        entry = self._live(pid, cache_type, partition)
+        if entry is None:
+            return None
         lf = self.node.read_local(entry.local_name)
-        return (
-            entry.checksum is None
-            or payload_checksum(lf.payload) == entry.checksum
-        )
+        if (
+            entry.checksum is not None
+            and payload_checksum(lf.payload) != entry.checksum
+        ):
+            return None
+        return lf
+
+    def use_verified(
+        self, pid: str, cache_type: int, partition: int, lf: LocalFile
+    ) -> bool:
+        """Count a use of ``lf``, a file checksummed earlier, for LRU.
+
+        ``True`` iff the entry is live and ``lf`` is still its file, so
+        its payload is the content that checksum covered and may be used
+        without hashing it again; the use clock then advances as a
+        :meth:`read` would. ``False`` (nothing counted) when the entry
+        is gone or its file was replaced, so the caller reads it anew.
+        """
+        entry = self._live(pid, cache_type, partition)
+        if entry is None or self.node.read_local(entry.local_name) is not lf:
+            return False
+        entry.last_used = self._next_use()
+        return True
 
     def entries(self) -> List[CacheEntry]:
         """Snapshot of all registry rows (live and expired)."""
@@ -365,14 +396,13 @@ class LocalCacheRegistry:
         return self.periodic_purge(now)
 
     def _purge_expired(self) -> List[CacheEntry]:
+        """Delete every expired entry, in key order; sorts only those."""
         purged: List[CacheEntry] = []
-        for key in sorted(self._entries):
-            entry = self._entries[key]
-            if not entry.expiration:
-                continue
+        expired = [k for k, e in self._entries.items() if e.expiration]
+        for key in sorted(expired):
+            entry = self._entries.pop(key)
             if self.node.has_local(entry.local_name):
                 self.node.delete_local(entry.local_name)
             purged.append(entry)
-            del self._entries[key]
             self._bytes -= entry.size
         return purged

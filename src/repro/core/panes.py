@@ -29,6 +29,7 @@ __all__ = [
     "Pane",
     "pane_name",
     "parse_pane_name",
+    "split_pid",
     "pane_file_name",
     "PaneRange",
 ]
@@ -254,6 +255,34 @@ def parse_pane_name(pid: str) -> Pane:
     if m is None:
         raise ValueError(f"not a pane identifier: {pid!r}")
     return Pane(source=m.group("source"), index=int(m.group("index")))
+
+
+#: One pane id at the front of a cache pid, plus the ``x`` joining it
+#: to the next one (none after the last).
+_PID_PART_RE = re.compile(r"(?P<pane>.+?P\d+)(?:x(?=.)|$)")
+
+
+def split_pid(pid: str) -> List[str]:
+    """The pane ids a cache pid names, in order.
+
+    A pane cache's pid is one pane id (``S1P3``); a combination cache's
+    pid joins its panes' ids with ``x`` (``S1P3xS2P4``). Job and source
+    names may contain ``x`` too (``ffg-extrema:positionsP1``), so only
+    an ``x`` that directly follows a pane index separates two ids. A
+    pid that is not made of pane ids comes back whole, for
+    :func:`parse_pane_name` to reject.
+    """
+    if "x" not in pid:
+        return [pid]
+    parts: List[str] = []
+    pos = 0
+    while pos < len(pid):
+        m = _PID_PART_RE.match(pid, pos)
+        if m is None:
+            return [pid]
+        parts.append(m.group("pane"))
+        pos = m.end()
+    return parts
 
 
 @dataclass(frozen=True)

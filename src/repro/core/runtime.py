@@ -49,7 +49,7 @@ from ..hadoop.catalog import BatchFile
 from ..hadoop.cluster import Cluster
 from ..hadoop.counters import Counters, PhaseTimes
 from ..hadoop.faults import FaultInjector, TaskAttemptsExhaustedError
-from ..hadoop.node import MAP_SLOT, REDUCE_SLOT, TaskNode
+from ..hadoop.node import MAP_SLOT, REDUCE_SLOT, LocalFile, TaskNode
 from ..exec import ExecBackend, SerialBackend, WorkerFaultError
 from ..hadoop.shuffle import group_sorted, sort_pairs
 from ..hadoop.task import execute_finalize, execute_map, execute_pane_reduce
@@ -350,6 +350,12 @@ class RedoopRuntime:
         self._recurrence_cache_log: Optional[
             List[Tuple[int, str, int, int]]
         ] = None
+        #: Reduce-input runs checksummed (by the pane probe) or written
+        #: in the recurrence currently executing, as ``pid -> partition
+        #: -> LocalFile``; ``None`` outside a recurrence. Later reads of
+        #: a run that is still that file are served from here instead
+        #: of hashing it again.
+        self._verified_rins: Optional[Dict[str, Dict[int, LocalFile]]] = None
         #: Cross-query reuse store (None = tier disabled). Attached to
         #: this cluster's HDFS and this runtime's counters so its
         #: ``reuse.*`` activity lands beside the cache counters.
@@ -1017,6 +1023,7 @@ class RedoopRuntime:
         self._phase_envelopes = {}
         degraded = False
         self._recurrence_cache_log = []
+        self._verified_rins = {}
         try:
             # ----- cross-query window short-circuit ---------------------
             reused = (
@@ -1092,6 +1099,7 @@ class RedoopRuntime:
             self._phase_spans = None
             self._phase_envelopes = None
             self._recurrence_cache_log = None
+            self._verified_rins = None
         if self.reuse is not None:
             self._flush_pane_publishes(degraded)
         self.tracer.end(
@@ -1352,18 +1360,25 @@ class RedoopRuntime:
         The integrity probe means a pane whose cache was tampered with
         between windows simply reads as uncached: the planner re-maps
         it from HDFS instead of feeding poisoned input to the window.
+        Inside a recurrence the probe keeps each payload it verified in
+        ``_verified_rins``, so the combine phase reads it unhashed.
         """
         if self.controller.pane_ready(pid) != CACHE_AVAILABLE:
             return False
+        runs: Dict[int, LocalFile] = {}
         for partition in range(state.query.job.num_reducers):
             node_id = self.controller.placement(pid, REDUCE_INPUT, partition)
             if node_id is None:
                 return False
             registry = self._registries.get(node_id)
-            if registry is None or not registry.verify(
+            lf = None if registry is None else registry.verify(
                 pid, REDUCE_INPUT, partition
-            ):
+            )
+            if lf is None:
                 return False
+            runs[partition] = lf
+        if self._verified_rins is not None:
+            self._verified_rins[pid] = runs
         return True
 
     def _process_pane(
@@ -1757,6 +1772,7 @@ class RedoopRuntime:
         outputs: Dict[int, List[KeyValue]] = {}
         contexts: Dict[int, Tuple[List[Tuple[int, List[KeyValue]]], Dict[int, int], float]] = {}
         finalize_inputs: List[List[List[KeyValue]]] = []
+        panes = tuple((state.qsource(source), i) for i in window_panes)
         for partition in range(job.num_reducers):
             partials: List[Tuple[int, List[KeyValue]]] = []
             cached_by_node: Dict[int, int] = {}
@@ -1775,7 +1791,7 @@ class RedoopRuntime:
                     ready_at = max(ready_at, work.reduce_finish[partition])
             request = ReduceTaskRequest(
                 query=query.name,
-                panes=tuple((state.qsource(source), i) for i in window_panes),
+                panes=panes,
                 partition=partition,
                 input_bytes=total_bytes,
                 cached_bytes_by_node=tuple(sorted(cached_by_node.items())),
@@ -1916,8 +1932,32 @@ class RedoopRuntime:
         window_panes = {
             src: state.spec(src).panes_in_window(recurrence) for src in sources
         }
-        combos = self._window_combinations(window_panes)
         finish_all = t0
+
+        # Keys every partition shares, built once per window: the
+        # request's panes (one tuple for all its requests), their pids,
+        # the pane work records, and each combination's pair pid with
+        # its reduce-input pids in source order.
+        panes = tuple(
+            (state.qsource(src), idx)
+            for src in sources
+            for idx in window_panes[src]
+        )
+        pane_pids = [pane_name(qsrc, idx) for qsrc, idx in panes]
+        works = [
+            state.pane_work[(src, idx)]
+            for src in sources
+            for idx in window_panes[src]
+            if (src, idx) in state.pane_work
+        ]
+        combos = [
+            (
+                combo,
+                pair_pid({state.qsource(src): i for src, i in combo.items()}),
+                [state.qpid(src, combo[src]) for src in sorted(combo)],
+            )
+            for combo in self._window_combinations(window_panes)
+        ]
 
         # Enqueue one join-reduce task per partition, then drain the
         # reduce task list so Algorithm 2's cache-coverage ordering and
@@ -1926,28 +1966,20 @@ class RedoopRuntime:
         contexts: Dict[int, float] = {}
         for partition in range(job.num_reducers):
             ready_at = t0
-            for src in sources:
-                for idx in window_panes[src]:
-                    work = state.pane_work.get((src, idx))
-                    if work is not None and partition in work.reduce_finish:
-                        ready_at = max(ready_at, work.reduce_finish[partition])
+            for work in works:
+                if partition in work.reduce_finish:
+                    ready_at = max(ready_at, work.reduce_finish[partition])
             # Weight Eq. 4 by the reduce-input bytes the task would read.
             rin_by_node: Dict[int, int] = {}
             total_rin = 0
-            for src in sources:
-                for idx in window_panes[src]:
-                    pid = state.qpid(src, idx)
-                    nbytes, node_id = self._cache_size(pid, REDUCE_INPUT, partition)
-                    total_rin += nbytes
-                    if node_id is not None:
-                        rin_by_node[node_id] = rin_by_node.get(node_id, 0) + nbytes
+            for pid in pane_pids:
+                nbytes, node_id = self._cache_size(pid, REDUCE_INPUT, partition)
+                total_rin += nbytes
+                if node_id is not None:
+                    rin_by_node[node_id] = rin_by_node.get(node_id, 0) + nbytes
             request = ReduceTaskRequest(
                 query=query.name,
-                panes=tuple(
-                    (state.qsource(src), idx)
-                    for src in sources
-                    for idx in window_panes[src]
-                ),
+                panes=panes,
                 partition=partition,
                 input_bytes=total_rin,
                 cached_bytes_by_node=tuple(sorted(rin_by_node.items())),
@@ -1963,9 +1995,9 @@ class RedoopRuntime:
             node = self.scheduler.select_reduce_node(request, ready_at)
 
             duration = self.cluster.config.task_overhead
-            for combo in combos:
+            for _combo, pid, rin_pids in combos:
                 pairs, nbytes, src_node = self._combo_output(
-                    state, combo, partition, node.node_id, counters
+                    state, pid, rin_pids, partition, node.node_id, counters
                 )
                 partition_output.extend(pairs)
                 if src_node == "fresh":
@@ -1973,7 +2005,7 @@ class RedoopRuntime:
                 else:
                     cached_read += nbytes
                 duration += self._combo_cost(
-                    state, combo, partition, node.node_id, nbytes, src_node
+                    state, rin_pids, partition, node.node_id, nbytes, src_node
                 )
             out_bytes = len(partition_output) * job.output_pair_size
             duration += self.cluster.cost_model.hdfs_write_time(out_bytes)
@@ -2003,7 +2035,7 @@ class RedoopRuntime:
             counters.increment("join.tasks")
             counters.increment("join.cached_bytes_read", cached_read)
             counters.increment("reduce.output_bytes", out_bytes)
-        for combo in combos:
+        for combo, _pid, _rin_pids in combos:
             matrix.mark_done(
                 {state.qsource(src): idx for src, idx in combo.items()}
             )
@@ -2023,22 +2055,21 @@ class RedoopRuntime:
     def _combo_output(
         self,
         state: _QueryState,
-        combo: Mapping[str, int],
+        pid: str,
+        rin_pids: Sequence[str],
         partition: int,
         target_node: int,
         counters: Counters,
     ) -> Tuple[List[KeyValue], int, Any]:
         """One pane combination's join output for a partition.
 
-        Returns ``(pairs, bytes_read, origin)`` where origin is the
-        hosting node id of the output cache, or ``"fresh"`` when the
-        combination had to be computed from reduce-input data.
+        ``pid`` is the combination's pair pid and ``rin_pids`` its
+        panes' reduce-input pids in source order. Returns ``(pairs,
+        bytes_read, origin)`` where origin is the hosting node id of
+        the output cache, or ``"fresh"`` when the combination had to be
+        computed from reduce-input data.
         """
-        query = state.query
-        job = query.job
-        pid = pair_pid(
-            {state.qsource(src): idx for src, idx in combo.items()}
-        )
+        job = state.query.job
         if self.enable_output_cache:
             cached = self._read_cache_verified(pid, REDUCE_OUTPUT, partition)
             if cached is not None:
@@ -2048,8 +2079,7 @@ class RedoopRuntime:
         # Compute the combination from the panes' reduce-input runs.
         merged: List[KeyValue] = []
         read_bytes = 0
-        for src in sorted(combo):
-            pane_id = state.qpid(src, combo[src])
+        for pane_id in rin_pids:
             payload, nbytes = self._read_rin(state, pane_id, partition)
             merged.extend(payload)
             read_bytes += nbytes
@@ -2066,7 +2096,7 @@ class RedoopRuntime:
     def _combo_cost(
         self,
         state: _QueryState,
-        combo: Mapping[str, int],
+        rin_pids: Sequence[str],
         partition: int,
         node_id: int,
         nbytes: int,
@@ -2076,8 +2106,7 @@ class RedoopRuntime:
         if origin == "fresh":
             # rin reads (locality per pane), merge + reduce CPU, cache write.
             local = 0
-            for src in sorted(combo):
-                pane_id = state.qpid(src, combo[src])
+            for pane_id in rin_pids:
                 size, host = self._cache_size(pane_id, REDUCE_INPUT, partition)
                 if host == node_id:
                     local += size
@@ -2661,13 +2690,19 @@ class RedoopRuntime:
                     created_at=now,
                 )
             return False
-        registry.add_entry(pid, cache_type, partition, nbytes, payload, now=now)
+        entry = registry.add_entry(
+            pid, cache_type, partition, nbytes, payload, now=now
+        )
         self.controller.cache_created(pid, cache_type, partition, node_id)
         self.counters.increment("cache.bytes_written", nbytes)
         if self._recurrence_cache_log is not None:
             self._recurrence_cache_log.append(
                 (node_id, pid, cache_type, partition)
             )
+            if cache_type == REDUCE_INPUT:
+                self._verified_rins.setdefault(pid, {})[partition] = (
+                    registry.node.read_local(entry.local_name)
+                )
         return True
 
     def discard_cache(
@@ -2705,6 +2740,8 @@ class RedoopRuntime:
         if registry.node.has_local(name):
             registry.node.delete_local(name)
         registry.drop_lost(pid, cache_type, partition)
+        if cache_type == REDUCE_INPUT and self._verified_rins:
+            self._verified_rins.get(pid, {}).pop(partition, None)
         self.controller.cache_lost(pid, cache_type, partition)
         if drop_tasks:
             self.scheduler.drop_reduce_tasks_using(pid)
@@ -2741,12 +2778,27 @@ class RedoopRuntime:
         case the entry is discarded through the Sec. 5 rollback first,
         so callers' fallback paths (rebuild from reduce input, re-map
         from HDFS) see a consistent world.
+
+        A reduce-input run the pane probe verified, or ``_store_cache``
+        wrote, earlier in this recurrence is served from
+        ``_verified_rins`` without hashing it again, as long as it is
+        still the entry's file; the use still counts a hit and advances
+        the entry's LRU clock, as the read would. Reduce outputs are
+        verified on every read.
         """
         node_id = self.controller.placement(pid, cache_type, partition)
         registry = None if node_id is None else self._registries.get(node_id)
         if registry is None:
             self.counters.increment("cache.misses")
             return None
+        if cache_type == REDUCE_INPUT and self._verified_rins:
+            runs = self._verified_rins.get(pid)
+            lf = None if runs is None else runs.get(partition)
+            if lf is not None and registry.use_verified(
+                pid, cache_type, partition, lf
+            ):
+                self.counters.increment("cache.hits")
+                return lf.payload, lf.size, node_id
         try:
             payload, nbytes = registry.read(pid, cache_type, partition)
         except KeyError:
@@ -2823,9 +2875,8 @@ class RedoopRuntime:
         # runs, and admission-rejected spills under a byte budget.
         prefix = f"tmp/{query.name}/"
         for node in self.cluster.live_nodes():
-            for name in node.local_files():
-                if name.startswith(prefix):
-                    node.delete_local(name)
+            for name in node.local_files(prefix):
+                node.delete_local(name)
 
         # Shared-map entries below every reader's next-window floor can
         # never be absorbed again; retire them (watermark GC).

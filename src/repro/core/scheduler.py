@@ -36,6 +36,7 @@ from ..hadoop.counters import Counters
 from ..hadoop.node import MAP_SLOT, REDUCE_SLOT, TaskNode
 from ..hadoop.timeline import SchedulingDecision, record_decision
 from ..trace import Tracer
+from .panes import pane_name, split_pid
 
 __all__ = ["MapTaskRequest", "ReduceTaskRequest", "CacheAwareTaskScheduler"]
 
@@ -74,8 +75,6 @@ class ReduceTaskRequest:
 
     def pane_pids(self) -> Tuple[str, ...]:
         """The pane identifiers this task reads, as the registry names them."""
-        from .panes import pane_name
-
         return tuple(pane_name(src, idx) for src, idx in self.panes)
 
 
@@ -213,7 +212,7 @@ class CacheAwareTaskScheduler:
         part of the lost pid. The filter is a single identity-safe
         pass, so equal duplicate requests are judged independently.
         """
-        parts = frozenset(pid.split("x"))
+        parts = frozenset(split_pid(pid))
         removed: List[ReduceTaskRequest] = []
         kept: Deque[ReduceTaskRequest] = deque()
         for request in self.reduce_task_list:

@@ -164,8 +164,12 @@ class TaskNode:
             raise NodeError(f"node {self.node_id} has no local file {name!r}")
         del self._local_fs[name]
 
-    def local_files(self) -> List[str]:
-        return sorted(self._local_fs)
+    def local_files(self, prefix: str = "") -> List[str]:
+        """Sorted local file names; only those starting with ``prefix``
+        when one is given, so a sweep sorts just what it removes."""
+        if not prefix:
+            return sorted(self._local_fs)
+        return sorted(name for name in self._local_fs if name.startswith(prefix))
 
     @property
     def local_bytes(self) -> int:

@@ -54,8 +54,8 @@ MAGIC = b"#repro-service-checkpoint\n"
 #: Bumped when pickled state gains fields an older snapshot lacks, or
 #: its encoding changes, so restoring one fails here instead of mid-run
 #: (2: registry byte totals; 3: queries/jobs as reduce tuples, not
-#: persistent ids).
-SCHEMA_VERSION = 3
+#: persistent ids; 4: cache entries store their local file name).
+SCHEMA_VERSION = 4
 
 
 class CheckpointError(Exception):

@@ -295,6 +295,24 @@ class TestByteAccounting:
         registry.mark_expired(["a"])
         assert registry.touch("a", REDUCE_INPUT, 0) is None
 
+    def test_use_verified_only_while_the_file_is_the_one_checked(
+        self, registry, node
+    ):
+        registry.add_entry("a", REDUCE_INPUT, 0, 10, ["x"])
+        lf = registry.verify("a", REDUCE_INPUT, 0)
+        assert lf.payload == ["x"]
+        before = registry.entries()[0].last_used
+        assert registry.use_verified("a", REDUCE_INPUT, 0, lf)
+        assert registry.entries()[0].last_used > before
+        # A rewrite, or tampering that replaces the file, needs a new check.
+        node.store_local(lf.name, 10, ["x", "corrupt"])
+        assert not registry.use_verified("a", REDUCE_INPUT, 0, lf)
+        registry.add_entry("a", REDUCE_INPUT, 0, 10, ["x"])
+        assert not registry.use_verified("a", REDUCE_INPUT, 0, lf)
+        lf = registry.verify("a", REDUCE_INPUT, 0)
+        registry.mark_expired(["a"])
+        assert not registry.use_verified("a", REDUCE_INPUT, 0, lf)
+
 
 class TestPurgeBatching:
     def test_one_mark_expired_call_per_node(self, monkeypatch):

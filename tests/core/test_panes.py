@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.panes import (
@@ -13,6 +15,7 @@ from repro.core.panes import (
     pane_file_name,
     pane_name,
     parse_pane_name,
+    split_pid,
 )
 
 # Window specs with integral-second win/slide, slide <= win.
@@ -189,6 +192,30 @@ class TestNaming:
         for bad in ("S1", "P3", "nonsense", "S1P"):
             with pytest.raises(ValueError):
                 parse_pane_name(bad)
+
+    def test_split_pid(self):
+        assert split_pid("wc:S1P3") == ["wc:S1P3"]
+        assert split_pid("wc:S1P3xwc:S2P14") == ["wc:S1P3", "wc:S2P14"]
+        # Only an "x" right after a pane index separates two pane ids.
+        assert split_pid("ffg-extrema:positionsP1") == [
+            "ffg-extrema:positionsP1"
+        ]
+        assert split_pid("fx:boxP1xfx:taxP2") == ["fx:boxP1", "fx:taxP2"]
+        for not_panes in ("nonsense", "xyz", "S1P3xfoo", "S1P3x"):
+            assert split_pid(not_panes) == [not_panes]
+
+    @given(
+        names=st.lists(
+            st.tuples(st.text("abxP1:-", min_size=1), st.integers(0, 999)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    def test_split_pid_inverts_joined_pane_names(self, names):
+        # A name holding "P<digits>x" is ambiguous in the pid format.
+        assume(not any(re.search(r"P\d+x", name) for name, _ in names))
+        ids = [pane_name(name, index) for name, index in names]
+        assert split_pid("x".join(ids)) == ids
 
     def test_file_name_single(self):
         # Oversize case: S#P# (paper Sec. 3.2).

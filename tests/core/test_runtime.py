@@ -290,7 +290,7 @@ class TestResponseTimes:
 
 
 class TestJoinRuntime:
-    def _join_query(self, num_reducers=4):
+    def _join_query(self, num_reducers=4, name="join"):
         from repro.hadoop import MapReduceJob
 
         def mapper(record):
@@ -304,14 +304,14 @@ class TestJoinRuntime:
                     yield key, (a, b)
 
         job = MapReduceJob(
-            name="join",
+            name=name,
             mapper=mapper,
             reducer=reducer,
             num_reducers=num_reducers,
         )
         spec = WindowSpec(win=20.0, slide=10.0)
         return RecurringQuery(
-            name="join", job=job, windows={"L": spec, "R": spec}
+            name=name, job=job, windows={"L": spec, "R": spec}
         )
 
     def _join_batch(self, source, side, i, t0, t1, n=6):
@@ -330,13 +330,14 @@ class TestJoinRuntime:
             records,
         )
 
-    def _setup(self, **kwargs):
+    def _setup(self, name="join", windows=3, **kwargs):
         cluster = Cluster(small_test_config(), seed=3)
         runtime = RedoopRuntime(cluster, **kwargs)
-        query = self._join_query()
+        query = self._join_query(name=name)
         runtime.register_query(query, {"L": RATE, "R": RATE})
         all_records = {"L": [], "R": []}
-        for i, t0 in enumerate((0.0, 10.0, 20.0, 30.0)):
+        for i in range(windows + 1):
+            t0 = 10.0 * i
             for source, side in (("L", "L"), ("R", "R")):
                 b, records = self._join_batch(source, side, i, t0, t0 + 10.0)
                 runtime.ingest(b, records)
@@ -383,3 +384,132 @@ class TestJoinRuntime:
         matrix = runtime.controller.matrix("join")
         assert matrix.is_done({"join:L": 0, "join:R": 1})
         assert matrix.is_done({"join:L": 1, "join:R": 0})
+
+    @pytest.mark.parametrize("name", ["join", "xjoin"])
+    def test_expired_pair_outputs_purged(self, name):
+        """Pair pids join pane ids with "x"; a job name holding one must
+        not hide the pairs from the purge notices of their panes."""
+        runtime, _ = self._setup(name=name, windows=5)
+        for k in range(1, 6):
+            runtime.run_recurrence(name, k)
+        held = {
+            e.pid
+            for r in runtime.registries().values()
+            for e in r.live_entries()
+        }
+        assert f"{name}:LP0x{name}:RP1" not in held  # pane 0 left after window 1
+        assert f"{name}:LP4x{name}:RP5" in held
+
+    def test_reduce_input_runs_hashed_once_per_recurrence(self, monkeypatch):
+        """The probe or the write hashes each run; later reads reuse it."""
+        from repro.core import cache_registry
+
+        runtime, _ = self._setup()
+        checksum = cache_registry.payload_checksum
+        hashed = []  # holds the payloads, so their ids stay unique
+
+        def counting(payload):
+            hashed.append(payload)
+            return checksum(payload)
+
+        monkeypatch.setattr(cache_registry, "payload_checksum", counting)
+        for k in (1, 2, 3):
+            hashed.clear()
+            runtime.run_recurrence("join", k)
+            runs = {
+                id(registry.node.read_local(e.local_name).payload)
+                for registry in runtime.registries().values()
+                for e in registry.live_entries()
+                if e.cache_type == REDUCE_INPUT
+            }
+            per_run = PyCounter(id(p) for p in hashed if id(p) in runs)
+            assert per_run, f"window {k} hashed no reduce-input run"
+            assert max(per_run.values()) == 1, f"window {k}: {per_run}"
+
+    def test_discarded_reduce_input_is_read_again(self, monkeypatch):
+        """A run discarded mid-recurrence leaves the verified set, so its
+        next use misses and falls back to the spilled run, as before."""
+        pid = "join:LP1"
+        twin, all_records = self._setup()
+        runtime, _ = self._setup()
+        combine = runtime._combine_join
+
+        def combine_after_discard(state, recurrence, t0, counters):
+            if recurrence == 2:
+                lf = runtime._verified_rins[pid][0]  # the probe verified it
+                node_id = runtime.controller.placement(pid, REDUCE_INPUT, 0)
+                runtime.discard_cache(
+                    node_id, pid, REDUCE_INPUT, 0, drop_tasks=False
+                )
+                assert 0 not in runtime._verified_rins[pid]
+                runtime.cluster.node(node_id).store_local(
+                    f"tmp/join/{pid}/p0", lf.size, list(lf.payload)
+                )
+            return combine(state, recurrence, t0, counters)
+
+        monkeypatch.setattr(runtime, "_combine_join", combine_after_discard)
+        for k in (1, 2):
+            twin.run_recurrence("join", k)
+            result = runtime.run_recurrence("join", k)
+        start, end = result.window_bounds["L"]
+        assert sorted(map(repr, result.output)) == self._expected(
+            all_records, start, end
+        )
+        # Exactly one read of the run (pair L1 x R2) missed instead of hit.
+        for name, delta in (("cache.misses", 1), ("cache.hits", -1)):
+            assert runtime.counters.get(name) == twin.counters.get(name) + delta
+
+
+class TestPidsWithAnX:
+    """Job and source names may contain "x", the combination separator."""
+
+    PID = "ffg-extrema:positionsP1"
+
+    def _after_one_window(self):
+        from repro.workloads.queries import extrema_query
+
+        query = extrema_query(20.0, 10.0, num_reducers=4)
+        runtime = RedoopRuntime(Cluster(small_test_config(), seed=3))
+        runtime.register_query(query, {"positions": RATE})
+        for i, t0 in enumerate((0.0, 10.0)):
+            records = [
+                Record(
+                    ts=t0 + j,
+                    value={"player": j % 3, "speed": float(10 * i + j)},
+                    size=100,
+                )
+                for j in range(10)
+            ]
+            runtime.ingest(
+                BatchFile(
+                    path=f"/b/positions/{i}",
+                    source="positions",
+                    t_start=t0,
+                    t_end=t0 + 10.0,
+                ),
+                records,
+            )
+        runtime.run_recurrence(query.name, 1)
+        return runtime, query
+
+    def test_query_not_done_with_its_live_pane(self):
+        runtime, query = self._after_one_window()
+        assert query.name == "ffg-extrema"  # the library's default name
+        for cache_type in (REDUCE_INPUT, REDUCE_OUTPUT):
+            signature = runtime.controller.signature(self.PID, cache_type)
+            assert signature.done_query_mask == {query.name: False}
+        # Window 2 still has to reduce its new pane.
+        assert runtime.controller.remaining_uses("ffg-extrema:positionsP2") == 1
+
+    def test_lost_pane_drops_queued_reduce_tasks(self):
+        from repro.core import ReduceTaskRequest
+
+        runtime, query = self._after_one_window()
+        request = ReduceTaskRequest(
+            query=query.name,
+            panes=(("ffg-extrema:positions", 1),),
+            partition=0,
+            input_bytes=1,
+        )
+        runtime.scheduler.enqueue_reduce(request)
+        assert runtime.scheduler.drop_reduce_tasks_using(self.PID) == [request]
