@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.bench.experiments import (
@@ -64,6 +66,39 @@ class TestFigureFunctions:
         assert results["redoop(f)"].total_response() >= results[
             "redoop"
         ].total_response()
+
+    def test_fig9_six_series_pinned(self):
+        # Plain Hadoop's task retries and Redoop's cache-loss,
+        # corruption and node-failure series all charge their tasks
+        # through the one task engine; pin every series' virtual times.
+        results = fig9_fault_tolerance(
+            scale=0.02,
+            num_windows=3,
+            cluster_config=small_test_config(8),
+            node_failure_window=2,
+            cache_corruption_fraction=0.5,
+        )
+        expected = {
+            "hadoop": (5.835234831009984, 5.768656122624634, 5.7682349061842615),
+            "hadoop(f)": (6.352046004922613, 6.218687080659038, 6.10185208639723),
+            "redoop": (6.4197297103264646, 4.152934172060668, 4.153088835450035),
+            "redoop(f)": (6.4197297103264646, 6.336384169946541, 4.153088835450035),
+            "redoop(c)": (6.4197297103264646, 6.336384169946541, 6.336538833335908),
+            "redoop(node-f)": (
+                6.4197297103264646, 6.970316802544403, 4.153605211853574,
+            ),
+        }
+        assert set(results) == set(expected)
+        for label, times in expected.items():
+            series = results[label]
+            assert series.response_times() == pytest.approx(times, rel=1e-9), label
+            digests = [
+                hashlib.sha256("\n".join(window).encode()).hexdigest()[:16]
+                for window in series.output_digests
+            ]
+            assert digests == [
+                "3daedd5998da9c9a", "8e16fded980d77e0", "e38b78c0e507624b",
+            ], label
 
     def test_ablation_cache_levels_ordering(self):
         results = ablation_cache_levels(scale=0.02)

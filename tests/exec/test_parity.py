@@ -171,6 +171,16 @@ class TestChaosParity:
         )
 
 
+class _CountingPool(ProcessPoolBackend):
+    """A process backend that counts the batches it was handed."""
+
+    batches = 0
+
+    def run_tasks(self, fn, calls, **kwargs):
+        self.batches += 1
+        return super().run_tasks(fn, calls, **kwargs)
+
+
 class TestCheckpointParity:
     def test_mid_run_checkpoint_restore_on_process_backend(self, tmp_path):
         """Kill a process-backend server mid-run, restore, finish: the
@@ -207,10 +217,13 @@ class TestCheckpointParity:
         path = latest_checkpoint(tmp_path)
         assert path is not None
         restored = QueryServer.restore(path)
-        resumed_backend = ProcessPoolBackend(workers=2)
+        resumed_backend = _CountingPool(workers=2)
         try:
             restored.runtime.backend = resumed_backend
             resumed = drive_scenario(scenario, restored)
         finally:
             resumed_backend.close()
         assert resumed.digests == want
+        # Digests match whichever backend runs, so only the count shows
+        # that the swapped-in backend really ran the resumed tasks.
+        assert resumed_backend.batches > 0

@@ -6,7 +6,9 @@ from collections import Counter
 
 import pytest
 
+from repro.exec import BatchStats, SerialBackend, WorkerFaultError
 from repro.hadoop import Cluster, FaultInjector, JobTracker, small_test_config
+from repro.hadoop.faults import TaskAttemptsExhaustedError
 from repro.hadoop.jobtracker import FIFOScheduler
 from repro.hadoop.node import MAP_SLOT
 
@@ -140,3 +142,47 @@ class TestFaultyJobs:
         assert dict(faulty.merged_output()) == dict(clean.merged_output())
         assert faulty.span > clean.span
         assert faulty.counters.get("task.retries") >= 1
+
+
+def _exhausted(tracer):
+    return [e for e in tracer.events(category="fault") if e.name == "task.exhausted"]
+
+
+class _DeadPool(SerialBackend):
+    """A backend whose worker pool dies past its rebuild budget."""
+
+    def run_tasks(self, fn, calls, **_kw):
+        raise WorkerFaultError(
+            "pool lost", tasks_lost=len(calls), attempts=3, stats=BatchStats()
+        )
+
+
+class TestAttemptExhaustion:
+    """Plain Hadoop has no degraded window: exhaustion fails the job."""
+
+    def test_doomed_reduce_fails_the_job(self, small_cluster):
+        _load_wordcount_input(small_cluster)
+        injector = FaultInjector(seed=1)
+        injector.doom("/reduce/0")
+        tracker = JobTracker(small_cluster, fault_injector=injector)
+        with pytest.raises(TaskAttemptsExhaustedError) as err:
+            tracker.run_job(wordcount_job(), ["/in/batch1"])
+        assert err.value.task_key == "wordcount/reduce/0"
+        assert err.value.node_id in small_cluster.live_node_ids()
+        (event,) = _exhausted(tracker.tracer)
+        assert event.node_id == err.value.node_id
+        assert event.attrs["task"] == "wordcount/reduce/0"
+        assert event.attrs["attempts"] == injector.max_attempts
+
+    def test_terminal_worker_fault_fails_the_job(self, small_cluster):
+        _load_wordcount_input(small_cluster)
+        tracker = JobTracker(small_cluster, backend=_DeadPool())
+        with pytest.raises(TaskAttemptsExhaustedError) as err:
+            tracker.run_job(wordcount_job(), ["/in/batch1"], start=100.0)
+        assert err.value.task_key == "wordcount/exec-map"
+        assert err.value.attempts == 3
+        assert isinstance(err.value.__cause__, WorkerFaultError)
+        (event,) = _exhausted(tracker.tracer)
+        assert event.time == 100.0 + small_cluster.config.job_overhead
+        assert event.node_id is None
+        assert event.attrs["task"] == "wordcount/exec-map"
