@@ -64,10 +64,6 @@ class PaneFileHeader:
                 return loc
         raise KeyError(f"pane {pane_index} is not in this file")
 
-    @property
-    def pane_indices(self) -> List[int]:
-        return [loc.pane_index for loc in self.locators]
-
 
 @dataclass(frozen=True)
 class PackedPane:

@@ -48,9 +48,10 @@ from typing import (
 from ..hadoop.catalog import BatchFile
 from ..hadoop.cluster import Cluster
 from ..hadoop.counters import Counters, PhaseTimes
+from ..hadoop.engine import TaskEngine
 from ..hadoop.faults import FaultInjector, TaskAttemptsExhaustedError
 from ..hadoop.node import MAP_SLOT, REDUCE_SLOT, LocalFile, TaskNode
-from ..exec import ExecBackend, SerialBackend, WorkerFaultError
+from ..exec import ExecBackend
 from ..hadoop.shuffle import group_sorted, sort_pairs
 from ..hadoop.task import execute_finalize, execute_map, execute_pane_reduce
 from ..hadoop.timeline import SchedulingDecision, record_decision
@@ -214,7 +215,7 @@ class _QueryState:
         return pane_name(self.qsource(source), index)
 
 
-class RedoopRuntime:
+class RedoopRuntime(TaskEngine):
     """Executes recurring queries with window-aware optimisations.
 
     Parameters
@@ -231,9 +232,6 @@ class RedoopRuntime:
         Disabling falls back to re-reducing from reduce-input caches.
     adaptive:
         Enable profiler-driven adaptive/proactive processing (Sec. 3.3).
-    purge_cycle:
-        Local registries' periodic purge period; defaults to each
-        query's slide at registration (the paper's default).
     fault_injector:
         Optional deterministic fault source for task retries.
     cache_capacity_bytes:
@@ -270,7 +268,6 @@ class RedoopRuntime:
         enable_caching: bool = True,
         enable_output_cache: bool = True,
         adaptive: bool = False,
-        purge_cycle: Optional[float] = None,
         fault_injector: Optional[FaultInjector] = None,
         use_pane_headers: bool = True,
         tracer: Optional[Tracer] = None,
@@ -280,25 +277,13 @@ class RedoopRuntime:
         reuse_store=None,
         scan_sharing=None,
     ) -> None:
-        self.cluster = cluster
-        self.counters = Counters()
-        #: Execution backend for task user-code (map bodies, pane
-        #: sorts/reduces, merge finalizers). Only the pure task bodies
-        #: run through it; every scheduling loop stays sequential and
-        #: owns virtual time, so digests and spans are backend-
-        #: independent (see docs/parallelism.md).
-        self.backend = backend if backend is not None else SerialBackend()
-        self.controller = WindowAwareCacheController()
-        #: The span spine this run writes to: every recurrence, phase,
-        #: task, scheduler decision, and fault lands here (see
-        #: ``docs/observability.md``). Shared with the cluster so node
-        #: fail/recover events interleave with the spans.
-        self.tracer = tracer if tracer is not None else Tracer()
-        if getattr(cluster, "tracer", None) is None:
-            cluster.tracer = self.tracer
-        self._run_span = self.tracer.begin(
-            "redoop-run", CAT_RUN, cluster.clock.now
+        # Every recurrence, phase, task, scheduler decision, and fault
+        # lands on the tracer (see ``docs/observability.md``).
+        super().__init__(
+            cluster, "redoop-run", tracer=tracer, backend=backend, faults=fault_injector
         )
+        self.counters = Counters()
+        self.controller = WindowAwareCacheController()
         #: recurrence-scoped phase spans (``None`` outside a recurrence;
         #: proactive work emitted then parents to the run span).
         self._phase_spans: Optional[Dict[str, Span]] = None
@@ -315,9 +300,7 @@ class RedoopRuntime:
         self.enable_caching = enable_caching
         self.enable_output_cache = enable_output_cache and enable_caching
         self.adaptive = adaptive
-        self.faults = fault_injector
         self.use_pane_headers = use_pane_headers
-        self._purge_cycle = purge_cycle
         if cache_capacity_bytes is not None and cache_capacity_bytes <= 0:
             raise ValueError("cache_capacity_bytes must be positive when set")
         self.cache_capacity_bytes = (
@@ -766,9 +749,6 @@ class RedoopRuntime:
     def profiler(self, query: str) -> ExecutionProfiler:
         return self._state(query).profiler
 
-    def is_proactive(self, query: str) -> bool:
-        return self._state(query).proactive
-
     def run_due_recurrences(self, now: float) -> List[RecurrenceResult]:
         """Run every registered query's recurrences due by time ``now``.
 
@@ -821,9 +801,6 @@ class RedoopRuntime:
                         seen.append(path)
             paths[src] = seen
         return paths
-
-    def partition_plan(self, query: str, source: str) -> PartitionPlan:
-        return self._state(query).plans[source]
 
     def ingest(self, batch: BatchFile, records: Sequence[Record]) -> None:
         """Load a batch: pack into panes for every query reading the source.
@@ -932,6 +909,7 @@ class RedoopRuntime:
                 for req, split in zip(requests, chunk_splits)
             ],
             phase="map",
+            counters=self.counters,
             now=start,
             task_key=f"{state.query.name}/exec-map",
         )
@@ -1102,22 +1080,13 @@ class RedoopRuntime:
             self._verified_rins = None
         if self.reuse is not None:
             self._flush_pane_publishes(degraded)
-        self.tracer.end(
-            rec_span,
-            finish,
-            response_time=finish - due,
-            phases={
-                "map": phases.map,
-                "shuffle": phases.shuffle,
-                "reduce": phases.reduce,
-            },
-            counters=counters.as_dict(),
-            degraded=degraded,
-        )
-        self.tracer.extend(self._run_span, finish)
+        self._end_job_span(rec_span, finish, due, phases, counters, degraded=degraded)
 
         output_pairs = [pair for _p, pairs in sorted(outputs.items()) for pair in pairs]
-        self._write_output(query, recurrence, output_pairs, finish)
+        path = query.output_path(recurrence)
+        if self.cluster.hdfs.exists(path):
+            self.cluster.hdfs.delete(path)
+        self._write_output(path, output_pairs, query.job.output_pair_size, finish)
         if self.reuse is not None and not degraded:
             self._reuse_publish_window(state, recurrence, output_pairs, finish)
 
@@ -1451,6 +1420,7 @@ class RedoopRuntime:
                 for records, charged_bytes, _locs in subtasks
             ],
             phase="map",
+            counters=self.counters,
             now=start,
             task_key=f"{query.name}/exec-map",
         )
@@ -1473,14 +1443,10 @@ class RedoopRuntime:
                 ex.output_bytes,
                 data_local=data_local,
             )
-            duration = self._with_faults(
+            duration, task_finish = self._charge(
                 f"{query.name}/map/{pid}#{task_no}",
-                duration,
-                counters,
-                at=start,
-                node_id=node.node_id,
+                node, MAP_SLOT, start, duration, counters,
             )
-            task_finish = node.occupy_slot(MAP_SLOT, start, duration)
             map_finish = max(map_finish, task_finish)
             self._record_execute(MAP_SLOT, request, node, start)
             self._emit_task(
@@ -1609,6 +1575,7 @@ class RedoopRuntime:
             execute_pane_reduce,
             [((job, pairs), {"aggregate": aggregation}) for pairs in pane_inputs],
             phase="pane-reduce",
+            counters=self.counters,
             now=map_finish,
             task_key=f"{query.name}/exec-pane-reduce",
         )
@@ -1642,15 +1609,9 @@ class RedoopRuntime:
                 )
                 if self.enable_output_cache:
                     duration += self.cluster.cost_model.cache_write_time(rout_bytes)
-            duration = self._with_faults(
+            duration, finish = self._charge(
                 f"{query.name}/pane-reduce/{pid}/{partition}",
-                duration,
-                counters,
-                at=map_finish + transfer,
-                node_id=target.node_id,
-            )
-            finish = target.occupy_slot(
-                REDUCE_SLOT, map_finish + transfer, duration
+                target, REDUCE_SLOT, map_finish + transfer, duration, counters,
             )
             self._record_execute(REDUCE_SLOT, request, target, map_finish + transfer)
             if transfer > 0:
@@ -1812,6 +1773,7 @@ class RedoopRuntime:
                         for partials in finalize_inputs
                     ],
                     phase="merge",
+                    counters=self.counters,
                     now=t0,
                     task_key=f"{query.name}/exec-merge",
                 )
@@ -1836,14 +1798,10 @@ class RedoopRuntime:
                 + self.cluster.cost_model.reduce_compute_time(total_partial_records)
                 + self.cluster.cost_model.hdfs_write_time(out_bytes)
             )
-            duration = self._with_faults(
+            duration, finish = self._charge(
                 f"{query.name}/merge/w{recurrence}/{partition}",
-                duration,
-                counters,
-                at=ready_at,
-                node_id=node.node_id,
+                node, REDUCE_SLOT, ready_at, duration, counters,
             )
-            finish = node.occupy_slot(REDUCE_SLOT, ready_at, duration)
             self._record_execute(REDUCE_SLOT, request, node, ready_at)
             self._emit_task(
                 "combine",
@@ -2009,14 +1967,10 @@ class RedoopRuntime:
                 )
             out_bytes = len(partition_output) * job.output_pair_size
             duration += self.cluster.cost_model.hdfs_write_time(out_bytes)
-            duration = self._with_faults(
+            duration, finish = self._charge(
                 f"{query.name}/join/w{recurrence}/{partition}",
-                duration,
-                counters,
-                at=ready_at,
-                node_id=node.node_id,
+                node, REDUCE_SLOT, ready_at, duration, counters,
             )
-            finish = node.occupy_slot(REDUCE_SLOT, ready_at, duration)
             self._record_execute(REDUCE_SLOT, request, node, ready_at)
             self._emit_task(
                 "combine",
@@ -2552,7 +2506,7 @@ class RedoopRuntime:
         if registry is None:
             registry = LocalCacheRegistry(
                 self.cluster.node(node_id),
-                purge_cycle=self._purge_cycle or self._default_purge_cycle(),
+                purge_cycle=self._default_purge_cycle(),
                 capacity_bytes=self.cache_capacity_bytes,
                 counters=self.counters,
             )
@@ -2570,10 +2524,7 @@ class RedoopRuntime:
         copied into each registry at first touch — without this hook,
         serve-mode churn (queries registered or removed later) would
         leave existing registries sweeping on the stale frozen cycle.
-        An explicit ``purge_cycle`` constructor override stays fixed.
         """
-        if self._purge_cycle is not None:
-            return
         cycle = self._default_purge_cycle()
         for registry in self._registries.values():
             registry.purge_cycle = cycle
@@ -2926,22 +2877,6 @@ class RedoopRuntime:
         if retired:
             self.counters.increment("plan.map_outputs_retired", retired)
 
-    def _write_output(
-        self,
-        query: RecurringQuery,
-        recurrence: int,
-        pairs: List[KeyValue],
-        finish: float,
-    ) -> None:
-        records = [
-            Record(ts=finish, value=pair, size=query.job.output_pair_size)
-            for pair in pairs
-        ]
-        path = query.output_path(recurrence)
-        if self.cluster.hdfs.exists(path):
-            self.cluster.hdfs.delete(path)
-        self.cluster.hdfs.create(path, records, created_at=finish)
-
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
@@ -2956,96 +2891,6 @@ class RedoopRuntime:
                     f"recurrence {recurrence} needs it through {needed}; "
                     "ingest the missing batches first"
                 )
-
-    def _run_backend(
-        self,
-        fn,
-        calls,
-        *,
-        phase: str,
-        now: float,
-        task_key: str,
-        counters: Optional[Counters] = None,
-    ):
-        """Run a task batch through the execution backend.
-
-        The supervision layer recovers worker crashes and hangs
-        invisibly (retry/rebuild/quarantine); its *terminal* failure —
-        a dead pool past the rebuild budget — funnels here into the
-        same ``TaskAttemptsExhaustedError`` path simulated attempt
-        exhaustion takes, so the window degrades and rolls back its
-        caches instead of corrupting digests or reuse artifacts.
-        """
-        bag = counters if counters is not None else self.counters
-        try:
-            return self.backend.run_tasks(
-                fn,
-                calls,
-                phase=phase,
-                counters=bag,
-                tracer=self.tracer,
-                now=now,
-            )
-        except WorkerFaultError as exc:
-            bag.increment("task.exhausted")
-            self.tracer.instant(
-                "task.exhausted",
-                CAT_FAULT,
-                time=now,
-                node_id=None,
-                task=task_key,
-                attempts=exc.attempts,
-            )
-            raise TaskAttemptsExhaustedError(task_key, exc.attempts) from exc
-
-    def _with_faults(
-        self,
-        task_key: str,
-        duration: float,
-        counters: Counters,
-        *,
-        at: Optional[float] = None,
-        node_id: Optional[int] = None,
-    ) -> float:
-        if self.faults is None:
-            return duration
-        when = self.cluster.clock.now if at is None else at
-        try:
-            effective, retries = self.faults.attempt_duration(task_key, duration)
-        except TaskAttemptsExhaustedError as exc:
-            exc.node_id = node_id
-            counters.increment("task.exhausted")
-            if node_id is not None:
-                # An exhausted task charges all of its attempts against
-                # the node — enough to trip the blacklist on its own
-                # when the threshold allows.
-                self.scheduler.record_task_failure(
-                    node_id, when, failures=float(exc.attempts)
-                )
-            self.tracer.instant(
-                "task.exhausted",
-                CAT_FAULT,
-                time=when,
-                node_id=node_id,
-                task=task_key,
-                attempts=exc.attempts,
-            )
-            raise
-        if retries:
-            counters.increment("task.retries", retries)
-            if node_id is not None:
-                self.scheduler.record_task_failure(
-                    node_id, when, failures=float(retries)
-                )
-            self.tracer.instant(
-                "task.retry",
-                CAT_FAULT,
-                time=at,
-                node_id=node_id,
-                task=task_key,
-                retries=retries,
-            )
-        return effective
 
     def _state(self, query_name: str) -> _QueryState:
         try:

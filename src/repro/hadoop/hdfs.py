@@ -36,9 +36,6 @@ class Block:
     size: int
     replicas: Tuple[int, ...]
 
-    def hosted_on(self, node_id: int) -> bool:
-        return node_id in self.replicas
-
 
 @dataclass(slots=True)
 class HDFSFile:
@@ -193,9 +190,6 @@ class SimulatedHDFS:
     def glob(self, pattern: str) -> List[str]:
         """Paths matching a shell-style ``pattern``, sorted for determinism."""
         return sorted(fnmatch.filter(self._files, pattern))
-
-    def list_paths(self) -> List[str]:
-        return sorted(self._files)
 
     @property
     def total_bytes(self) -> int:

@@ -4,7 +4,8 @@ This is the plain-Hadoop execution path: every job reads its full input
 from HDFS, shuffles every map output pair, and reduces every group. The
 Redoop runtime (:mod:`repro.core.runtime`) replaces parts of this
 pipeline with cache-aware equivalents but reuses the same slot
-simulation, cost model, and logical task execution.
+simulation, cost model, logical task execution, and task engine
+(:mod:`repro.hadoop.engine`).
 
 Timing model
 ------------
@@ -23,18 +24,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.exec import ExecBackend, SerialBackend, WorkerFaultError
-from repro.trace import CAT_JOB, CAT_PHASE, CAT_RUN, CAT_TASK, Span, Tracer
+from repro.exec import ExecBackend
+from repro.trace import CAT_JOB, CAT_PHASE, CAT_TASK, Span, Tracer
 
 from .cluster import Cluster
 from .counters import Counters, PhaseTimes
-from .faults import FaultInjector, TaskAttemptsExhaustedError
+from .engine import TaskEngine
+from .faults import FaultInjector
 from .hdfs import FileSplit
 from .job import MapReduceJob
 from .node import MAP_SLOT, REDUCE_SLOT, SlotKind, TaskNode
 from .task import MapExecution, ReduceExecution, execute_map, execute_reduce
 from .timeline import SchedulingDecision, record_decision
-from .types import KeyValue, Record
+from .types import KeyValue
 
 __all__ = ["FIFOScheduler", "JobResult", "JobTracker"]
 
@@ -87,6 +89,9 @@ class FIFOScheduler:
             )
         return node
 
+    def record_task_failure(self, node_id: int, now: float, *, failures: float = 1.0) -> None:
+        """Hadoop's FIFO scheduler keeps no failure scores: a no-op."""
+
 
 @dataclass(slots=True)
 class JobResult:
@@ -115,8 +120,13 @@ class JobResult:
         return merged
 
 
-class JobTracker:
-    """Runs complete MapReduce jobs on a cluster, FIFO by default."""
+class JobTracker(TaskEngine):
+    """Runs complete MapReduce jobs on a cluster, FIFO by default.
+
+    Jobs, phases and tasks land on the tracer, so plain-Hadoop runs
+    export the same trace shape as Redoop runs (the ``job`` category
+    replaces ``recurrence``).
+    """
 
     def __init__(
         self,
@@ -127,23 +137,10 @@ class JobTracker:
         tracer: Optional[Tracer] = None,
         backend: Optional[ExecBackend] = None,
     ) -> None:
-        self.cluster = cluster
-        self.scheduler = scheduler or FIFOScheduler()
-        self.faults = fault_injector
-        #: Execution backend for task user-code. Task *bodies* run
-        #: through it (possibly in parallel, see docs/parallelism.md);
-        #: the scheduling loop below stays sequential and owns virtual
-        #: time, so results and spans are backend-independent.
-        self.backend = backend if backend is not None else SerialBackend()
-        #: Span spine for the baseline path; jobs, phases, and tasks all
-        #: land here so plain-Hadoop runs export the same trace shape as
-        #: Redoop runs (the ``job`` category replaces ``recurrence``).
-        self.tracer = tracer if tracer is not None else Tracer()
-        if getattr(cluster, "tracer", None) is None:
-            cluster.tracer = self.tracer
-        self._run_span = self.tracer.begin(
-            "hadoop-run", CAT_RUN, cluster.clock.now
+        super().__init__(
+            cluster, "hadoop-run", tracer=tracer, backend=backend, faults=fault_injector
         )
+        self.scheduler = scheduler or FIFOScheduler()
 
     # ------------------------------------------------------------------
     # public API
@@ -223,7 +220,8 @@ class JobTracker:
         )
 
         if output_path is not None:
-            self._write_output(job, output_path, outputs, finish)
+            merged = [pair for p in sorted(outputs) for pair in outputs[p]]
+            self._write_output(output_path, merged, job.output_pair_size, finish)
 
         counters.increment("job.runs")
         self.tracer.end(map_span, max(maps_done, t0))
@@ -231,18 +229,7 @@ class JobTracker:
         self.tracer.end(shuffle_span, shuffle_all_done)
         reduce_span.start = min(shuffle_all_done, finish)
         self.tracer.end(reduce_span, finish)
-        self.tracer.end(
-            job_span,
-            finish,
-            response_time=finish - due,
-            phases={
-                "map": phases.map,
-                "shuffle": phases.shuffle,
-                "reduce": phases.reduce,
-            },
-            counters=counters.as_dict(),
-        )
-        self.tracer.extend(self._run_span, finish)
+        self._end_job_span(job_span, finish, due, phases, counters)
         return JobResult(
             job_name=job.name,
             start_time=t_submit,
@@ -288,12 +275,9 @@ class JobTracker:
             task_key=f"{job.name}/exec-map",
         )
         for split, ex in zip(splits, execs):
+            task = f"{job.name}/map/{split.path}#{split.split_index}"
             node = self.scheduler.choose_node(
-                cluster,
-                MAP_SLOT,
-                t0,
-                preferred=set(split.locations),
-                task=f"{job.name}/map/{split.path}#{split.split_index}",
+                cluster, MAP_SLOT, t0, preferred=set(split.locations), task=task
             )
             local = node.node_id in split.locations
             duration = cost.map_task_duration(
@@ -302,14 +286,9 @@ class JobTracker:
                 ex.output_bytes,
                 data_local=local,
             )
-            duration = self._with_faults(
-                f"{job.name}/map/{split.path}#{split.split_index}",
-                duration,
-                counters,
-                at=t0,
-                node_id=node.node_id,
+            duration, task_finish = self._charge(
+                task, node, MAP_SLOT, t0, duration, counters
             )
-            task_finish = node.occupy_slot(MAP_SLOT, t0, duration)
             finishes.append(task_finish)
             self.tracer.span(
                 f"map/{split.path}#{split.split_index}",
@@ -443,20 +422,11 @@ class JobTracker:
                 cached_records=0,
                 output_bytes=rex.output_bytes,
             )
-            node = self.scheduler.choose_node(
-                cluster,
-                REDUCE_SLOT,
-                shuffle_done,
-                task=f"{job.name}/reduce/{partition}",
+            task = f"{job.name}/reduce/{partition}"
+            node = self.scheduler.choose_node(cluster, REDUCE_SLOT, shuffle_done, task=task)
+            duration, task_finish = self._charge(
+                task, node, REDUCE_SLOT, shuffle_done, duration, counters
             )
-            duration = self._with_faults(
-                f"{job.name}/reduce/{partition}",
-                duration,
-                counters,
-                at=shuffle_done,
-                node_id=node.node_id,
-            )
-            task_finish = node.occupy_slot(REDUCE_SLOT, shuffle_done, duration)
             finish = max(finish, task_finish)
             if shuffle_done > first_map_done:
                 self.tracer.span(
@@ -485,102 +455,3 @@ class JobTracker:
             counters.increment("shuffle.bytes", fetch_bytes)
             counters.increment("reduce.output_bytes", rex.output_bytes)
         return outputs, reduce_nodes, shuffle_all_done, finish
-
-    # ------------------------------------------------------------------
-    # helpers
-    # ------------------------------------------------------------------
-
-    def _run_backend(
-        self,
-        fn,
-        calls,
-        *,
-        phase: str,
-        counters: Counters,
-        now: float,
-        task_key: str,
-    ):
-        """Run a task batch through the execution backend.
-
-        A terminal worker-pool failure maps onto attempt exhaustion:
-        plain Hadoop has no degraded-window notion, so — exactly like
-        a simulated exhausted task — it fails the whole job.
-        """
-        try:
-            return self.backend.run_tasks(
-                fn,
-                calls,
-                phase=phase,
-                counters=counters,
-                tracer=self.tracer,
-                now=now,
-            )
-        except WorkerFaultError as exc:
-            counters.increment("task.exhausted")
-            self.tracer.instant(
-                "task.exhausted",
-                "fault",
-                time=now,
-                node_id=None,
-                task=task_key,
-                attempts=exc.attempts,
-            )
-            raise TaskAttemptsExhaustedError(task_key, exc.attempts) from exc
-
-    def _with_faults(
-        self,
-        task_key: str,
-        duration: float,
-        counters: Counters,
-        *,
-        at: Optional[float] = None,
-        node_id: Optional[int] = None,
-    ) -> float:
-        """Inflate ``duration`` by any injected failed attempts.
-
-        Attempt exhaustion propagates: plain Hadoop has no degraded-
-        window notion, so an exhausted task fails the whole job (the
-        Redoop runtime, by contrast, catches the typed error and
-        degrades only the affected window).
-        """
-        if self.faults is None:
-            return duration
-        try:
-            effective, retries = self.faults.attempt_duration(task_key, duration)
-        except TaskAttemptsExhaustedError as exc:
-            exc.node_id = node_id
-            counters.increment("task.exhausted")
-            self.tracer.instant(
-                "task.exhausted",
-                "fault",
-                time=at,
-                node_id=node_id,
-                task=task_key,
-                attempts=exc.attempts,
-            )
-            raise
-        if retries:
-            counters.increment("task.retries", retries)
-            self.tracer.instant(
-                "task.retry",
-                "fault",
-                time=at,
-                node_id=node_id,
-                task=task_key,
-                retries=retries,
-            )
-        return effective
-
-    def _write_output(
-        self,
-        job: MapReduceJob,
-        output_path: str,
-        outputs: Dict[int, List[KeyValue]],
-        finish: float,
-    ) -> None:
-        records = [
-            Record(ts=finish, value=pair, size=job.output_pair_size)
-            for partition in sorted(outputs)
-            for pair in outputs[partition]
-        ]
-        self.cluster.hdfs.create(output_path, records, created_at=finish)

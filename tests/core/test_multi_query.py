@@ -374,18 +374,3 @@ class TestPurgeCycleChurn:
         assert all(
             r.purge_cycle == 20.0 for r in runtime.registries().values()
         )
-
-    def test_explicit_cycle_override_stays_fixed(self):
-        runtime = RedoopRuntime(
-            Cluster(small_test_config(), seed=3), purge_cycle=99.0
-        )
-        runtime.register_query(
-            query_for(wordcount_job(num_reducers=4, name="wc-a"), 40.0, 10.0, "qa"),
-            {"S1": RATE},
-        )
-        feed(runtime, 60.0)
-        runtime.run_recurrence("qa", 1)
-        runtime.deregister_query("qa")
-        assert all(
-            r.purge_cycle == 99.0 for r in runtime.registries().values()
-        )
