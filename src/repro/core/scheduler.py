@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from ..hadoop.cluster import Cluster
 from ..hadoop.counters import Counters
@@ -337,16 +337,17 @@ class CacheAwareTaskScheduler:
         self, request: MapTaskRequest, now: float
     ) -> TaskNode:
         """Place a map task: Eq. 4 with HDFS replica locality as C_task."""
-        locations = set(request.locations)
-
-        def io_cost(node: TaskNode) -> float:
-            local = request.input_bytes if node.node_id in locations else 0
-            return self.cluster.cost_model.task_io_cost(
-                request.input_bytes, bytes_local=local
+        nbytes = request.input_bytes
+        io_cost = self.cluster.cost_model.task_io_cost
+        holders: Dict[int, float] = {}
+        if request.locations:
+            holders = dict.fromkeys(
+                request.locations, io_cost(nbytes, bytes_local=nbytes)
             )
-
-        node, load, c_task = self._argmin_eq4(now, io_cost)
-        if node.node_id in locations:
+        node, load, c_task = self._argmin_eq4(
+            now, io_cost(nbytes, bytes_local=0), holders
+        )
+        if node.node_id in holders:
             self._count("sched.map_local_selects")
         if self.tracer is not None:
             record_decision(
@@ -368,15 +369,16 @@ class CacheAwareTaskScheduler:
         self, request: ReduceTaskRequest, now: float
     ) -> TaskNode:
         """Place a reduce task: Eq. 4 with cache residency as C_task."""
+        nbytes = request.input_bytes
+        io_cost = self.cluster.cost_model.task_io_cost
         cached = dict(request.cached_bytes_by_node)
-
-        def io_cost(node: TaskNode) -> float:
-            local = min(cached.get(node.node_id, 0), request.input_bytes)
-            return self.cluster.cost_model.task_io_cost(
-                request.input_bytes, bytes_local=local
-            )
-
-        node, load, c_task = self._argmin_eq4(now, io_cost)
+        holders = {
+            node_id: io_cost(nbytes, bytes_local=min(held, nbytes))
+            for node_id, held in cached.items()
+        }
+        node, load, c_task = self._argmin_eq4(
+            now, io_cost(nbytes, bytes_local=0), holders
+        )
         if cached.get(node.node_id, 0) > 0:
             self._count("sched.reduce_cache_local_selects")
         if self.tracer is not None:
@@ -397,11 +399,14 @@ class CacheAwareTaskScheduler:
         return node
 
     def _argmin_eq4(
-        self, now: float, io_cost: Callable[[TaskNode], float]
+        self, now: float, c_task: float, holders: Dict[int, float]
     ) -> Tuple[TaskNode, float, float]:
         """The Eq. 4 winner with the ``load`` and ``c_task`` it won on.
 
-        Each candidate's terms are evaluated once; ties go to the lower
+        ``c_task`` is the I/O cost on a node holding none of the task's
+        input, the same for all of them; ``holders`` prices the nodes
+        that hold some. One pass over the candidates in id order, each
+        node's load read once; the strict ``<`` gives ties to the lower
         node id.
         """
         live = self.cluster.live_nodes()
@@ -411,15 +416,20 @@ class CacheAwareTaskScheduler:
         # they leave the candidate set. If *every* live node is
         # blacklisted the cluster must still make progress, so the
         # filter degrades to "pick among all live nodes".
-        candidates = [n for n in live if not self.is_blacklisted(n.node_id, now)]
-        if not candidates:
-            candidates = live
+        candidates = live
+        if self._blacklisted_until:
+            candidates = [
+                n for n in live if not self.is_blacklisted(n.node_id, now)
+            ] or live
 
-        terms = [(node.load_at(now), io_cost(node), node) for node in candidates]
-        load, c_task, node = min(
-            terms, key=lambda t: (t[0] + t[1], t[2].node_id)
-        )
-        return node, load, c_task
+        best = None
+        for node in candidates:
+            load = node.load_at(now)
+            cost = holders.get(node.node_id, c_task)
+            total = load + cost
+            if best is None or total < best_total:
+                best, best_load, best_c_task, best_total = node, load, cost, total
+        return best, best_load, best_c_task
 
     # ------------------------------------------------------------------
     # helpers

@@ -119,11 +119,15 @@ class TaskNode:
     def load_at(self, now: float) -> float:
         """Pending busy seconds across all slots at time ``now`` (Eq. 4 term)."""
         self._ensure_alive()
+        # Only positive terms are added: skipping an idle slot's ``0.0``
+        # leaves the float sum exactly as ``max(0.0, free - now)`` made it.
         pending = 0.0
         for free in self._map_slot_free:
-            pending += max(0.0, free - now)
+            if free > now:
+                pending += free - now
         for free in self._reduce_slot_free:
-            pending += max(0.0, free - now)
+            if free > now:
+                pending += free - now
         return pending
 
     def reset_slots(self, now: float = 0.0) -> None:

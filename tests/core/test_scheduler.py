@@ -369,3 +369,34 @@ class TestEq4DecisionRecord:
         scheduler.select_map_node(map_request(locations=[2]), now=1.0)
         scheduler.select_reduce_node(reduce_request(cached=[(1, 10)]), now=1.0)
         assert sorted(calls) == sorted(2 * loaded.live_node_ids())
+
+    @pytest.mark.parametrize(
+        "place, holders",
+        [
+            (lambda s: s.select_map_node(map_request(), now=1.0), 0),
+            (lambda s: s.select_map_node(map_request(locations=[2]), now=1.0), 1),
+            (
+                lambda s: s.select_reduce_node(
+                    reduce_request(cached=[(2, 6), (1, 2)]), now=1.0
+                ),
+                2,
+            ),
+        ],
+        ids=["map-no-replica", "map-one-replica", "reduce-two-holders"],
+    )
+    def test_c_task_priced_once_plus_once_per_holder(self, loaded, monkeypatch, place, holders):
+        """Nodes holding none of the input share one C_task price."""
+        from repro.hadoop.costmodel import CostModel
+
+        calls = []
+        original = CostModel.task_io_cost
+
+        def spy(self, input_bytes, *, bytes_local=0.0):
+            calls.append(bytes_local)
+            return original(self, input_bytes, bytes_local=bytes_local)
+
+        monkeypatch.setattr(CostModel, "task_io_cost", spy)
+        scheduler, _tracer = self.traced(loaded)
+        place(scheduler)
+        assert len(loaded.live_node_ids()) > 1 + holders
+        assert len(calls) <= 1 + holders
