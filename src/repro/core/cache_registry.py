@@ -19,6 +19,7 @@ about to run out of space.
 from __future__ import annotations
 
 import hashlib
+import pickle
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
@@ -60,14 +61,45 @@ class CacheCorruptionError(Exception):
         self.partition = partition
 
 
-def payload_checksum(payload: Any) -> str:
-    """Content digest of a cache payload (truncated sha256 over repr).
+class _HashSink:
+    """A write-only file that feeds what a pickler writes to a hash."""
 
-    The simulation stores payloads as Python objects rather than bytes,
-    so the digest covers the canonical ``repr`` — deterministic for the
-    list/tuple/scalar data that flows through reduce caches.
+    __slots__ = ("write",)
+
+    def __init__(self, digest: Any) -> None:
+        self.write = digest.update
+
+
+def _pickle_digest(pickler_class: Any, payload: Any) -> str:
+    digest = hashlib.sha256()
+    pickler = pickler_class(_HashSink(digest), protocol=5)
+    pickler.fast = True
+    pickler.dump(payload)
+    return digest.hexdigest()[:16]
+
+
+def payload_checksum(payload: Any) -> str:
+    """Content digest of a cache payload: a truncated sha256 over its pickle.
+
+    The simulation stores payloads as Python objects, so the digest
+    covers their protocol-5 pickle, streamed into the hash. The
+    pickler runs in fast mode, which keeps no memo: a sub-object that
+    occurs twice is written out twice rather than as a back-reference.
+    The digest thus depends on values only, not on which equal objects
+    are shared. A plain ``pickle.dumps`` would tell ``[s, s]`` from
+    ``[s, t]`` with ``t == s``, and unpickling can merge such aliases
+    (CPython caches one-character strings), so a restored cache would
+    then read as corrupt. Raises what ``pickle`` raises for an
+    unpicklable payload.
     """
-    return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()[:16]
+    try:
+        return _pickle_digest(pickle.Pickler, payload)
+    except (KeyError, ValueError):
+        # The C pickler's fast mode counts every frozenset as one level
+        # deeper and never back out; from 49 of them on it raises on
+        # sound payloads. The pure-Python pickler writes the same bytes
+        # (a genuine cycle then ends in RecursionError).
+        return _pickle_digest(pickle._Pickler, payload)
 
 
 @dataclass(slots=True)
@@ -175,6 +207,13 @@ class LocalCacheRegistry:
             raise ValueError(f"unknown cache type {cache_type!r}")
         if partition < 0:
             raise ValueError("partition indices are non-negative")
+        try:
+            checksum = payload_checksum(payload)
+        except (pickle.PicklingError, TypeError, AttributeError, RecursionError) as exc:
+            raise TypeError(
+                f"cache pid={pid!r} type={cache_type} partition={partition}: "
+                f"cannot digest a {type(payload).__name__} payload ({exc})"
+            ) from exc
         name = cache_file_name(pid, cache_type, partition)
         entry = CacheEntry(
             pid=pid,
@@ -182,7 +221,7 @@ class LocalCacheRegistry:
             partition=partition,
             size=size,
             local_name=name,
-            checksum=payload_checksum(payload),
+            checksum=checksum,
             last_used=self._next_use(),
         )
         self.node.store_local(name, size, payload, created_at=now)

@@ -131,7 +131,7 @@ class RecoveryManager:
 
     @staticmethod
     def _tamper(payload: object) -> object:
-        """A minimal content mutation that defeats the repr checksum."""
+        """A minimal content mutation that defeats the payload digest."""
         if isinstance(payload, list):
             return payload + [("__corrupt__", -1)]
         if isinstance(payload, tuple):

@@ -54,8 +54,9 @@ MAGIC = b"#repro-service-checkpoint\n"
 #: Bumped when pickled state gains fields an older snapshot lacks, or
 #: its encoding changes, so restoring one fails here instead of mid-run
 #: (2: registry byte totals; 3: queries/jobs as reduce tuples, not
-#: persistent ids; 4: cache entries store their local file name).
-SCHEMA_VERSION = 4
+#: persistent ids; 4: cache entries store their local file name;
+#: 5: cache digests hash a memo-free pickle of the payload, not its repr).
+SCHEMA_VERSION = 5
 
 
 class CheckpointError(Exception):

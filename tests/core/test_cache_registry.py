@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pickle
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.core.cache_registry import (
@@ -9,8 +12,11 @@ from repro.core.cache_registry import (
     REDUCE_OUTPUT,
     LocalCacheRegistry,
     cache_file_name,
+    payload_checksum,
 )
+from repro.core.recovery import RecoveryManager
 from repro.hadoop.node import TaskNode
+from repro.hadoop.types import Record
 
 
 @pytest.fixture
@@ -348,3 +354,108 @@ class TestPurgeBatching:
             for e in r.live_entries()
         }
         assert live == {(0, "c")}
+
+
+def _python_pickle_digest(payload):
+    """The digest taken by the pure-Python pickler alone."""
+    import hashlib
+    import io
+
+    sink = io.BytesIO()
+    pickler = pickle._Pickler(sink, protocol=5)
+    pickler.fast = True
+    pickler.dump(payload)
+    return hashlib.sha256(sink.getvalue()).hexdigest()[:16]
+
+
+class TestPayloadDigest:
+    """The digest depends on a payload's value, never on object identity."""
+
+    PAYLOADS = [
+        [],
+        [("w1", 3), ("w2", 1)],
+        (("k", (1, 2.5)), ("k", None)),
+        [("ffg", {"x": -0.0, "y": [True, b"raw"]})],
+        [Record(ts=1.5, value=("w", 1), size=100)],
+    ]
+
+    def test_shared_and_distinct_equal_strings_digest_alike(self):
+        s = "key-1"
+        t = "".join(["key-", "1"])
+        assert s == t and s is not t
+        # A memoizing pickle writes the second ``s`` as a back-reference.
+        assert pickle.dumps([s, s], 5) != pickle.dumps([s, t], 5)
+        assert payload_checksum([s, s]) == payload_checksum([s, t])
+        assert payload_checksum([(s, 1), (s, 1)]) == payload_checksum(
+            [(s, 1), (t, 1)]
+        )
+
+    def test_unpickling_merges_one_character_aliases_harmlessly(self):
+        a, b = "a", "A".lower()
+        payload = [(a, 1), (b, 2)]
+        restored = pickle.loads(pickle.dumps(payload))
+        assert restored == payload
+        assert payload_checksum(restored) == payload_checksum(payload)
+
+    @pytest.mark.parametrize("payload", PAYLOADS, ids=repr)
+    def test_pickle_round_trip_keeps_the_digest(self, payload):
+        restored = pickle.loads(pickle.dumps(payload))
+        assert payload_checksum(restored) == payload_checksum(payload)
+
+    @pytest.mark.parametrize("payload", PAYLOADS + ["scalar"], ids=repr)
+    def test_tamper_defeats_the_digest(self, payload):
+        tampered = RecoveryManager._tamper(payload)
+        assert payload_checksum(tampered) != payload_checksum(payload)
+
+    def test_different_values_digest_apart(self):
+        assert payload_checksum([("w", 1)]) != payload_checksum([("w", 2)])
+        assert payload_checksum([("w", 1)]) != payload_checksum([("w", 1.0)])
+
+    def test_digest_is_sixteen_hex_characters(self):
+        digest = payload_checksum([("w", 1)])
+        assert len(digest) == 16 and int(digest, 16) >= 0
+
+    def test_a_failed_digest_leaves_the_next_one_clean(self):
+        payload = [("w", (1, 2))]
+        before = payload_checksum(payload)
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            payload_checksum([("k", lambda: 0)])
+        assert payload_checksum(payload) == before
+
+    def test_threads_digest_alike(self):
+        payloads = [[(i, (j, i * j)) for j in range(i % 7)] for i in range(200)]
+        want = [payload_checksum(p) for p in payloads]
+        with ThreadPoolExecutor(2) as pool:
+            assert list(pool.map(payload_checksum, payloads)) == want
+
+    def test_many_frozensets(self):
+        """The C pickler's fast mode fails from 49 frozensets on; the
+        digest must not, and must not depend on which pickler took it."""
+        # Small ints never collide in a set, so a rebuilt frozenset
+        # iterates, and pickles, in the same order.
+        payload = [(f"/p{i}", (i, frozenset({i, i + 1}))) for i in range(60)]
+        digest = payload_checksum(payload)
+        assert payload_checksum(pickle.loads(pickle.dumps(payload))) == digest
+        assert payload_checksum(RecoveryManager._tamper(payload)) != digest
+        assert payload_checksum(payload[:10]) == _python_pickle_digest(payload[:10])
+
+    def test_cyclic_payload_fails_at_add_entry(self, registry):
+        cyclic = []
+        cyclic.append(cyclic)
+        with pytest.raises(TypeError, match=r"pid='S1P1' type=2 partition=0"):
+            registry.add_entry("S1P1", REDUCE_OUTPUT, 0, 10, cyclic)
+
+    def test_unpicklable_payload_fails_at_add_entry(self, registry):
+        with pytest.raises(TypeError, match=r"pid='S1P1' type=1 partition=3"):
+            registry.add_entry("S1P1", REDUCE_INPUT, 3, 10, [("k", lambda: 0)])
+        assert not registry.has("S1P1", REDUCE_INPUT, 3)
+        assert registry.cached_bytes == 0
+        assert not registry.node.has_local(cache_file_name("S1P1", REDUCE_INPUT, 3))
+
+    def test_restored_registry_reads_clean(self, registry):
+        """A pickled registry (checkpoint, process backend) still verifies."""
+        a, b = "a", "A".lower()
+        registry.add_entry("S1P1", REDUCE_OUTPUT, 0, 10, [(a, 1), (b, 2)])
+        restored = pickle.loads(pickle.dumps(registry))
+        assert restored.read("S1P1", REDUCE_OUTPUT, 0)[0] == [(a, 1), (b, 2)]
+        assert restored.verify("S1P1", REDUCE_OUTPUT, 0) is not None

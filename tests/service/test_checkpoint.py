@@ -148,6 +148,24 @@ class TestValidation:
         with pytest.raises(CheckpointError, match="schema version"):
             load_checkpoint(path)
 
+    def test_schema_4_checkpoint_refused(self, tmp_path):
+        """Schema 4 stored cache digests over ``repr``; they would all
+        read as corrupt, so such a file fails at the header."""
+        assert SCHEMA_VERSION > 4
+        path = self._write(tmp_path, lambda d: None)
+        rest = path.read_bytes()[len(MAGIC):]
+        newline = rest.find(b"\n")
+        header = json.loads(rest[:newline])
+        header["schema_version"] = 4
+        path.write_bytes(
+            MAGIC
+            + json.dumps(header, sort_keys=True).encode()
+            + b"\n"
+            + rest[newline + 1:]
+        )
+        with pytest.raises(CheckpointError, match="schema version 4"):
+            load_checkpoint(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read"):
             load_checkpoint(tmp_path / "absent.bin")
