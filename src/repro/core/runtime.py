@@ -1328,9 +1328,11 @@ class RedoopRuntime(TaskEngine):
 
         The integrity probe means a pane whose cache was tampered with
         between windows simply reads as uncached: the planner re-maps
-        it from HDFS instead of feeding poisoned input to the window.
-        Inside a recurrence the probe keeps each payload it verified in
-        ``_verified_rins``, so the combine phase reads it unhashed.
+        it from HDFS instead of feeding poisoned input to the window,
+        and the live run that failed its digest counts as a detected
+        corruption. Inside a recurrence the probe keeps each payload it
+        verified in ``_verified_rins``, so the combine phase reads it
+        unhashed.
         """
         if self.controller.pane_ready(pid) != CACHE_AVAILABLE:
             return False
@@ -1344,6 +1346,8 @@ class RedoopRuntime(TaskEngine):
                 pid, REDUCE_INPUT, partition
             )
             if lf is None:
+                if registry is not None and registry.has(pid, REDUCE_INPUT, partition):
+                    self.counters.increment("cache.corruptions_detected")
                 return False
             runs[partition] = lf
         if self._verified_rins is not None:
@@ -1423,6 +1427,7 @@ class RedoopRuntime(TaskEngine):
             counters=self.counters,
             now=start,
             task_key=f"{query.name}/exec-map",
+            job_counters=counters,
         )
         contexts: Dict[int, Tuple[int, object]] = {
             id(req): (task_no, ex)
@@ -1578,6 +1583,7 @@ class RedoopRuntime(TaskEngine):
             counters=self.counters,
             now=map_finish,
             task_key=f"{query.name}/exec-pane-reduce",
+            job_counters=counters,
         )
         contexts: Dict[int, Tuple[List[KeyValue], Optional[List[KeyValue]]]] = {}
         for partition in range(job.num_reducers):
@@ -1776,6 +1782,7 @@ class RedoopRuntime(TaskEngine):
                     counters=self.counters,
                     now=t0,
                     task_key=f"{query.name}/exec-merge",
+                    job_counters=counters,
                 )
             )
         )

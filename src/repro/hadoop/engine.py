@@ -50,13 +50,19 @@ class TaskEngine:
         self._run_span = self.tracer.begin(run_name, CAT_RUN, cluster.clock.now)
 
     def _run_backend(
-        self, fn, calls: Sequence, *, phase: str, counters: Counters, now: float, task_key: str
+        self, fn, calls: Sequence, *, phase: str, counters: Counters, now: float, task_key: str,
+        job_counters: Optional[Counters] = None,
     ) -> List[Any]:
         """Run a task batch through the execution backend.
 
         The supervisor recovers worker crashes and hangs itself; its
         terminal failure (a dead pool past the rebuild budget) becomes
         the ``TaskAttemptsExhaustedError`` simulated exhaustion raises.
+        ``counters`` receives the backend's ``exec.*`` counters and the
+        terminal failure's ``task.exhausted``. When that bag outlives
+        the job (Redoop's runtime-lifetime bag), ``job_counters`` is the
+        recurrence's own bag, where a simulated exhaustion is counted,
+        and gets ``task.exhausted`` too.
         """
         try:
             return self.backend.run_tasks(
@@ -64,6 +70,8 @@ class TaskEngine:
             )
         except WorkerFaultError as exc:
             counters.increment("task.exhausted")
+            if job_counters is not None:
+                job_counters.increment("task.exhausted")
             self.tracer.instant(
                 "task.exhausted", CAT_FAULT, time=now, node_id=None,
                 task=task_key, attempts=exc.attempts,

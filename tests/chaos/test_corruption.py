@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
+from repro.bench import join_config
+from repro.chaos import ChaosSchedule, run_chaos_series, run_differential
 from repro.core import (
     REDUCE_INPUT,
     REDUCE_OUTPUT,
@@ -13,6 +17,9 @@ from repro.core import (
 from repro.hadoop import FaultInjector
 
 from tests.core.test_runtime import feed, make_runtime
+
+#: The schedule the CI chaos smoke replays with ``--schedule-in``.
+CORRUPT_BOTH_TYPES = Path(__file__).parent / "fixtures" / "corrupt_both_cache_types.json"
 
 
 @pytest.fixture
@@ -123,3 +130,41 @@ class TestInjectionFiltering:
             FaultInjector(seed=7), fraction=0.5
         )
         assert [v.key for v in victims_a] == [v.key for v in victims_b]
+
+
+class TestFixedCorruptionSchedule:
+    """Corruption of both cache types, so both verifying read paths run:
+    the pane probe (reduce input) and the verified read (reduce output)."""
+
+    #: What ``repro chaos --windows 4`` replays the schedule against.
+    CONFIG = join_config(0.5, scale=0.05, num_windows=4)
+
+    @pytest.fixture(scope="class")
+    def schedule(self):
+        return ChaosSchedule.from_json(CORRUPT_BOTH_TYPES.read_text())
+
+    def test_both_types_over_several_windows(self, schedule):
+        slide = self.CONFIG.slide
+        for cache_type in (REDUCE_INPUT, REDUCE_OUTPUT):
+            windows = {
+                int(e.at // slide)
+                for e in schedule.events
+                if e.kind == "cache-corrupt" and e.cache_type == cache_type
+            }
+            assert len(windows) >= 3, (cache_type, windows)
+
+    @pytest.mark.parametrize("cache_type", [REDUCE_INPUT, REDUCE_OUTPUT])
+    def test_each_type_is_detected(self, schedule, cache_type):
+        only = ChaosSchedule(
+            seed=schedule.seed,
+            events=tuple(e for e in schedule.events if e.cache_type == cache_type),
+        )
+        report = run_chaos_series(self.CONFIG, only)
+        assert report.ok, report.violations
+        counters = report.series.runtime_counters
+        assert counters.get("faults.caches_corrupted", 0) >= 1
+        assert counters.get("cache.corruptions_detected", 0) >= 1
+
+    def test_replay_matches_the_fault_free_run(self, schedule):
+        result = run_differential(self.CONFIG, schedule)
+        assert result.ok, result.summary()

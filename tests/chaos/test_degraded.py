@@ -4,8 +4,10 @@ from __future__ import annotations
 
 
 from repro.core import RedoopRuntime
+from repro.exec import SerialBackend, WorkerFaultError
+from repro.exec.supervisor import BatchStats
 from repro.hadoop import Cluster, FaultInjector, small_test_config
-from repro.trace import CAT_FAULT
+from repro.trace import CAT_FAULT, CAT_RECURRENCE
 
 from tests.core.test_runtime import RATE, feed, make_query
 
@@ -102,3 +104,31 @@ class TestDegradedWindow:
         r3 = runtime.run_recurrence("wc", 3)
         assert not r3.degraded
         assert r3.output
+
+
+class _DeadPool(SerialBackend):
+    """A backend whose worker pool is dead past its rebuild budget."""
+
+    def run_tasks(self, fn, calls, **kwargs):
+        raise WorkerFaultError(
+            "pool died", tasks_lost=len(calls), attempts=3, stats=BatchStats()
+        )
+
+
+class TestDeadWorkerPool:
+    def test_exhaustion_counted_in_the_degraded_window(self):
+        cluster = Cluster(small_test_config(), seed=3)
+        runtime = RedoopRuntime(cluster, backend=_DeadPool())
+        runtime.register_query(make_query(), {"S1": RATE})
+        feed(runtime, 50.0)
+        result = runtime.run_recurrence("wc", 1)
+        assert result.degraded
+        # Where a simulated exhaustion is counted: the window's own bag
+        # and the recurrence span ``repro report`` reads.
+        assert result.counters.get("task.exhausted") == 1
+        assert result.counters.get("faults.windows_degraded") == 1
+        [span] = runtime.tracer.spans(category=CAT_RECURRENCE)
+        assert span.attrs["counters"]["task.exhausted"] == 1
+        # The lifetime bag, which also holds exec.*, keeps its copy.
+        assert runtime.counters.get("task.exhausted") == 1
+        assert runtime.counters.get("faults.windows_degraded") == 1
